@@ -1,51 +1,25 @@
-//! Experiment E8: campaign-orchestration ablation — sequential vs.
-//! parallel runner scaling (experiments are independent; each worker owns
-//! a target instance), and dynamic (work-stealing) vs. static
-//! (round-robin) scheduling at equal worker counts.
+//! Experiment E8: campaign-runner scaling — the work-stealing executor at
+//! 1, 2, 4 and 8 workers (experiments are independent; each worker owns a
+//! target instance).
 //!
 //! Besides the human-readable table, the run writes `BENCH_e8.json` at the
-//! workspace root: one row per (scheduler, workers) pair with wall time
-//! and speedup over the sequential baseline, so CI and the docs can
-//! consume the numbers without scraping stdout.
+//! workspace root: one row per worker count with wall time and speedup
+//! over the one-worker baseline, so CI and the docs can consume the
+//! numbers without scraping stdout.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use goofi_bench::{scifi_campaign, workload};
-use goofi_core::{Campaign, CampaignRunner, RunOptions};
+use goofi_core::{Campaign, CampaignRunner};
 use goofi_targets::ThorTarget;
 use std::time::{Duration, Instant};
 
-#[derive(Clone, Copy)]
-enum Scheduler {
-    /// Work-stealing: shared atomic cursor, chunked claims, writer thread.
-    Dynamic,
-    /// Round-robin stripes (`i % workers`), one shared result mutex.
-    Static,
-}
-
-impl Scheduler {
-    fn label(self) -> &'static str {
-        match self {
-            Scheduler::Dynamic => "dynamic",
-            Scheduler::Static => "static",
-        }
-    }
-
-    fn knob(self) -> goofi_core::Scheduler {
-        match self {
-            Scheduler::Dynamic => goofi_core::Scheduler::WorkStealing,
-            Scheduler::Static => goofi_core::Scheduler::Static,
-        }
-    }
-}
-
 struct Row {
-    scheduler: Scheduler,
     workers: usize,
     wall: Duration,
     speedup: f64,
 }
 
-fn run_once(campaign: &Campaign, workers: usize, scheduler: Scheduler) -> (Duration, usize) {
+fn run_once(campaign: &Campaign, workers: usize) -> (Duration, usize) {
     let w = workload("sort16");
     let factory = move || {
         Box::new(ThorTarget::new("thor-card", w.clone()))
@@ -54,7 +28,6 @@ fn run_once(campaign: &Campaign, workers: usize, scheduler: Scheduler) -> (Durat
     let t0 = Instant::now();
     let result = CampaignRunner::from_factory(factory, campaign)
         .workers(workers)
-        .options(RunOptions::new().scheduler(scheduler.knob()))
         .run()
         .expect("campaign runs");
     (t0.elapsed(), result.runs.len())
@@ -65,21 +38,9 @@ fn measure() -> Vec<Row> {
     let mut rows = Vec::new();
     let mut base = None;
     for workers in [1usize, 2, 4, 8] {
-        let (wall, _) = run_once(&campaign, workers, Scheduler::Dynamic);
+        let (wall, _) = run_once(&campaign, workers);
         let base_wall = *base.get_or_insert(wall);
         rows.push(Row {
-            scheduler: Scheduler::Dynamic,
-            workers,
-            wall,
-            speedup: base_wall.as_secs_f64() / wall.as_secs_f64(),
-        });
-    }
-    // The ablation rows: same worker counts, old round-robin scheduler.
-    let base_wall = rows[0].wall;
-    for workers in [2usize, 4] {
-        let (wall, _) = run_once(&campaign, workers, Scheduler::Static);
-        rows.push(Row {
-            scheduler: Scheduler::Static,
             workers,
             wall,
             speedup: base_wall.as_secs_f64() / wall.as_secs_f64(),
@@ -93,11 +54,8 @@ fn print_table(rows: &[Row], cores: usize) {
     println!("(speedup is over the sequential baseline and bounded by host cores)");
     for row in rows {
         println!(
-            "{:>7} scheduler, {} worker(s): {:>10.3?}  speedup {:>5.2}x",
-            row.scheduler.label(),
-            row.workers,
-            row.wall,
-            row.speedup
+            "{} worker(s): {:>10.3?}  speedup {:>5.2}x",
+            row.workers, row.wall, row.speedup
         );
     }
 }
@@ -113,8 +71,7 @@ fn write_json(rows: &[Row], cores: usize) {
     out.push_str("  \"rows\": [\n");
     for (i, row) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"scheduler\": \"{}\", \"workers\": {}, \"wall_s\": {:.6}, \"speedup\": {:.3}}}{}\n",
-            row.scheduler.label(),
+            "    {{\"workers\": {}, \"wall_s\": {:.6}, \"speedup\": {:.3}}}{}\n",
             row.workers,
             row.wall.as_secs_f64(),
             row.speedup,
@@ -137,19 +94,13 @@ fn bench(c: &mut Criterion) {
     print_table(&rows, cores);
     write_json(&rows, cores);
 
-    // Criterion samples on a smaller campaign: dynamic vs static head-on.
+    // Criterion samples on a smaller campaign.
     let mut group = c.benchmark_group("e8");
     group.sample_size(10);
+    let campaign = scifi_campaign("e8-b", "sort16", 64, 2500);
     for workers in [1usize, 4] {
-        let campaign = scifi_campaign("e8-b", "sort16", 64, 2500);
-        group.bench_function(format!("campaign64_dynamic_workers{workers}"), |b| {
-            b.iter(|| run_once(&campaign, workers, Scheduler::Dynamic))
-        });
-    }
-    {
-        let campaign = scifi_campaign("e8-b", "sort16", 64, 2500);
-        group.bench_function("campaign64_static_workers4", |b| {
-            b.iter(|| run_once(&campaign, 4, Scheduler::Static))
+        group.bench_function(format!("campaign64_workers{workers}"), |b| {
+            b.iter(|| run_once(&campaign, workers))
         });
     }
     group.finish();

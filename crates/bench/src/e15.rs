@@ -28,8 +28,8 @@
 
 use crate::thor_target;
 use goofi_core::{
-    plan_campaign, run_experiment, Campaign, FaultModel, LocationSelector, Pruning, RunOptions,
-    Technique,
+    plan_campaign, run_experiment, Campaign, Decision, FaultModel, LocationSelector, Pruning,
+    RunOptions, Technique,
 };
 
 /// Acceptance gate: fraction of the combined fault list that must be
@@ -128,12 +128,10 @@ fn run_campaign(label: &'static str, campaign: &Campaign) -> E15Campaign {
         mismatches: 0,
     };
     for i in 0..plan.len() {
-        if plan.prunable[i] {
-            row.pruned += 1;
-        } else if plan.predicted[i] {
-            row.predicted += 1;
-        } else {
-            continue;
+        match plan.decisions[i] {
+            Decision::Pruned => row.pruned += 1,
+            Decision::Predicted => row.predicted += 1,
+            _ => continue,
         }
         let synthesised = plan
             .execute(&mut target, campaign, i)

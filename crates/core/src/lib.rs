@@ -83,8 +83,8 @@ pub use preinject::{FirstUse, LivenessAnalysis};
 pub use progress::{control_channel, Command, ControlHandle, Controller, ProgressEvent};
 pub use propagation::{analyze_propagation, PropagationReport, PropagationStep};
 pub use runner::{
-    logged_experiment_name, plan_campaign, CampaignPlan, CampaignResult, CampaignRunner,
-    RunOptions, Scheduler,
+    logged_experiment_name, plan_campaign, CampaignPlan, CampaignResult, CampaignRunner, Decision,
+    RunOptions,
 };
 pub use service::{
     drain, CampaignRef, CampaignService, ClassSavings, EventSink, EventStream, ExecOptions,

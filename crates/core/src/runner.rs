@@ -4,18 +4,25 @@
 //! the paper's Section 3.3 flow: read campaign data, make a reference
 //! run, then execute every experiment, logging each to
 //! `LoggedSystemState` and reporting progress to the Fig. 7 window
-//! equivalent. One builder covers every execution shape:
+//! equivalent. Every campaign runs as planner → executor:
 //!
-//! * `workers(1)` (the default) runs sequentially on a single target.
-//! * `workers(n)` with [`CampaignRunner::from_factory`] runs the
-//!   work-stealing pool (experiment E8): workers each drive their own
-//!   target instance, claiming work dynamically off a shared atomic
-//!   cursor while a dedicated writer thread streams finished rows to the
-//!   store and services the Fig. 7 controls.
-//! * `resume_from(store)` restarts an interrupted campaign, sequentially
-//!   or across the same worker pool.
-//! * [`Scheduler::Static`] preserves the old round-robin scheduler as the
-//!   E8 comparison baseline.
+//! * The **planner** ([`plan_campaign`]) generates the fault list, runs
+//!   pruning, prediction and equivalence-class grouping, makes (or, on
+//!   resume, reloads) the reference run, builds the checkpoint cache, and
+//!   records one [`Decision`] per fault: already logged, pruned,
+//!   predicted, proxied by a class representative, or executed.
+//! * The **executor** walks the decisions and passes every finished row
+//!   to one ordered sink, which logs rows to the store in fault-list order
+//!   and emits progress events. With `workers(1)` (the default) it runs
+//!   on the calling thread, on the planner's target, honouring pause and
+//!   stop through [`Controller::checkpoint`]. With `workers(n)` and
+//!   [`CampaignRunner::from_factory`] it runs the work-stealing pool
+//!   (experiment E8): workers claim chunks of undecided indices off a
+//!   shared atomic cursor, each on its own target, while a writer thread
+//!   owns the sink and services the Fig. 7 controls.
+//!
+//! `resume_from(store)` restarts an interrupted campaign: the planner
+//! marks the rows already stored as logged and only the rest run.
 //!
 //! When [`RunOptions::telemetry`] is enabled the runner installs a
 //! [`goofi_telemetry::Recorder`] (thread-locally, on every campaign
@@ -34,26 +41,12 @@ use crate::preinject::LivenessAnalysis;
 use crate::progress::{Command, Controller, ProgressEvent};
 use crate::staticanalysis::{ClassKind, Pruning, StaticAnalysis};
 use crate::store::{reference_experiment_name, ExperimentData, ExperimentRecord, GoofiStore};
-use crate::target::TargetSystemInterface;
+use crate::target::{TargetSystemConfig, TargetSystemInterface};
 use goofi_telemetry::{names, CampaignTelemetry, Recorder, TelemetryMode, WorkerTelemetry};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Which parallel scheduler a multi-worker campaign uses.
-#[non_exhaustive]
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Scheduler {
-    /// Work-stealing (the default): workers claim chunks of experiment
-    /// indices off a shared atomic cursor; a writer thread streams rows
-    /// in fault-list order. Supports stores, observers and resume.
-    #[default]
-    WorkStealing,
-    /// The old round-robin scheduler (`i % workers`), kept as the E8
-    /// ablation baseline. Rows are logged only after the whole campaign;
-    /// observers and resume are not supported.
-    Static,
-}
 
 /// Tuning knobs for campaign execution that do not change results, only
 /// how they are obtained.
@@ -74,14 +67,10 @@ pub struct RunOptions {
     /// reset. Byte-identical results either way; targets or campaigns the
     /// cache cannot serve (no snapshot support, detail mode, pre-runtime
     /// SWIFI) silently fall back to cold starts. Defaults to `true`.
-    /// Ignored by [`Scheduler::Static`], which always cold-starts.
     pub checkpoint: bool,
     /// How much telemetry to record. Defaults to [`TelemetryMode::Off`],
     /// which costs one thread-local read per instrumentation site.
     pub telemetry: TelemetryMode,
-    /// Which parallel scheduler to use when `workers > 1`. Defaults to
-    /// [`Scheduler::WorkStealing`].
-    pub scheduler: Scheduler,
     /// How experiments are pruned before injection. Defaults to
     /// [`Pruning::Trace`], which honours the campaign's
     /// `pre_injection_analysis` flag with trace-based liveness.
@@ -99,7 +88,6 @@ pub struct RunOptions {
     /// representative's. Logged rows are byte-identical with the knob on
     /// or off. Requires a target with a static analyzer (silently falls
     /// back to executing everything otherwise). Defaults to `false`.
-    /// Ignored by [`Scheduler::Static`], which always executes directly.
     pub class_execution: bool,
     /// Synthesise the rows of faults whose verdict the propagation
     /// analysis proved predictable (the corruption activates but washes
@@ -118,7 +106,6 @@ impl Default for RunOptions {
         RunOptions {
             checkpoint: true,
             telemetry: TelemetryMode::Off,
-            scheduler: Scheduler::WorkStealing,
             pruning: Pruning::Trace,
             class_execution: false,
             prediction: false,
@@ -127,8 +114,8 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The default options: checkpointing on, telemetry off,
-    /// work-stealing, trace-based pruning.
+    /// The default options: checkpointing on, telemetry off, trace-based
+    /// pruning.
     pub fn new() -> RunOptions {
         RunOptions::default()
     }
@@ -142,12 +129,6 @@ impl RunOptions {
     /// Sets the telemetry recording mode.
     pub fn telemetry(mut self, mode: TelemetryMode) -> RunOptions {
         self.telemetry = mode;
-        self
-    }
-
-    /// Sets the parallel scheduler.
-    pub fn scheduler(mut self, scheduler: Scheduler) -> RunOptions {
-        self.scheduler = scheduler;
         self
     }
 
@@ -224,13 +205,16 @@ impl Telemetry {
     }
 }
 
+/// A target factory shared by the worker threads.
+type Factory<'a> = dyn Fn() -> Box<dyn TargetSystemInterface> + Sync + 'a;
+
 /// Where experiment targets come from.
 enum TargetSource<'a> {
     /// One caller-owned target: sequential execution only.
     Single(&'a mut dyn TargetSystemInterface),
-    /// A factory producing one target per worker (plus scratch/pilot
-    /// targets); required for `workers > 1`.
-    Factory(Box<dyn Fn() -> Box<dyn TargetSystemInterface> + Sync + 'a>),
+    /// A factory producing the planner's target (which doubles as worker
+    /// 0's) and one more target per additional worker.
+    Factory(Box<Factory<'a>>),
 }
 
 /// The single campaign entry point: a builder selecting target source,
@@ -282,9 +266,9 @@ impl<'a> CampaignRunner<'a> {
         }
     }
 
-    /// A runner over a target factory: each worker (and the scratch
-    /// target used for preparation and the checkpoint pilot) is created
-    /// by `factory`. Works at any worker count.
+    /// A runner over a target factory: the planner's target, which also
+    /// serves the first worker, and each further worker's target are
+    /// created by `factory`. Works at any worker count.
     pub fn from_factory<F>(factory: F, campaign: &'a Campaign) -> CampaignRunner<'a>
     where
         F: Fn() -> Box<dyn TargetSystemInterface> + Sync + 'a,
@@ -307,7 +291,8 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Sets the execution options (checkpointing, telemetry, scheduler).
+    /// Sets the execution options (checkpointing, telemetry, pruning,
+    /// class execution, prediction).
     pub fn options(mut self, options: RunOptions) -> Self {
         self.options = options;
         self
@@ -339,15 +324,14 @@ impl<'a> CampaignRunner<'a> {
         self
     }
 
-    /// Runs the campaign.
+    /// Runs the campaign: one planner call, then one executor call.
     ///
     /// # Errors
     ///
     /// Campaign validation errors, target errors, and database errors;
     /// [`GoofiError::Campaign`] for invalid configurations (zero workers,
-    /// multiple workers without a factory, static scheduling combined
-    /// with resume or an observer). The first worker error aborts a
-    /// parallel campaign.
+    /// multiple workers without a factory). The first worker error aborts
+    /// a parallel campaign.
     pub fn run(self) -> Result<CampaignResult> {
         let CampaignRunner {
             source,
@@ -367,117 +351,56 @@ impl<'a> CampaignRunner<'a> {
         let telemetry = Telemetry::new(options.telemetry);
         // Thread-locally scoped: concurrent campaigns (e.g. under
         // `cargo test`) never observe each other's telemetry. Worker and
-        // writer threads install their own guards in the engine.
+        // writer threads install their own guards in the executor.
         let _guard = telemetry
             .as_ref()
             .map(|t| tracing::set_default(&t.dispatch));
         let wall = Instant::now();
-        let telemetry_ref = telemetry.as_ref();
 
-        let mut result = match options.scheduler {
-            Scheduler::Static => {
-                if resume {
-                    return Err(GoofiError::Campaign(
-                        "the static scheduler does not support resume; use Scheduler::WorkStealing"
-                            .into(),
-                    ));
-                }
-                if controller.is_some() {
-                    return Err(GoofiError::Campaign(
-                        "the static scheduler does not support progress observers; use Scheduler::WorkStealing".into(),
-                    ));
-                }
+        // The targets, fault list and checkpoint cache are dropped at the
+        // end of this block, before the trailing tables are persisted.
+        let (runs, reference, static_analysis) = {
+            let mut owned: Box<dyn TargetSystemInterface>;
+            let (target, factory): (&mut dyn TargetSystemInterface, Option<Box<Factory<'a>>>) =
                 match source {
-                    TargetSource::Single(target) if workers <= 1 => sequential_run(
-                        target,
-                        campaign,
-                        store.as_deref_mut(),
-                        None,
-                        &options,
-                        telemetry_ref,
-                    ),
-                    TargetSource::Factory(factory) if workers <= 1 => {
-                        let mut target = factory();
-                        sequential_run(
-                            target.as_mut(),
-                            campaign,
-                            store.as_deref_mut(),
-                            None,
-                            &options,
-                            telemetry_ref,
-                        )
+                    TargetSource::Single(_) if workers > 1 => {
+                        return Err(GoofiError::Campaign(format!(
+                            "{workers} workers each need their own target; construct the runner with CampaignRunner::from_factory"
+                        )))
                     }
-                    TargetSource::Single(_) => Err(needs_factory(workers)),
-                    TargetSource::Factory(factory) => static_run(
-                        factory.as_ref(),
-                        campaign,
-                        workers,
-                        store.as_deref_mut(),
-                        &options,
-                        telemetry_ref,
-                    ),
-                }
-            }
-            Scheduler::WorkStealing => match (source, resume) {
-                (TargetSource::Single(target), false) if workers <= 1 => sequential_run(
-                    target,
-                    campaign,
-                    store.as_deref_mut(),
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-                (TargetSource::Single(target), true) if workers <= 1 => sequential_resume(
-                    target,
-                    campaign,
-                    require_store(store.as_deref_mut())?,
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-                (TargetSource::Factory(factory), false) if workers <= 1 => {
-                    let mut target = factory();
-                    sequential_run(
-                        target.as_mut(),
-                        campaign,
-                        store.as_deref_mut(),
-                        controller,
-                        &options,
-                        telemetry_ref,
-                    )
-                }
-                (TargetSource::Factory(factory), true) if workers <= 1 => {
-                    let mut target = factory();
-                    sequential_resume(
-                        target.as_mut(),
-                        campaign,
-                        require_store(store.as_deref_mut())?,
-                        controller,
-                        &options,
-                        telemetry_ref,
-                    )
-                }
-                (TargetSource::Single(_), _) => Err(needs_factory(workers)),
-                (TargetSource::Factory(factory), false) => parallel_run(
-                    factory.as_ref(),
-                    campaign,
-                    workers,
-                    store.as_deref_mut(),
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-                (TargetSource::Factory(factory), true) => parallel_resume(
-                    factory.as_ref(),
-                    campaign,
-                    workers,
-                    require_store(store.as_deref_mut())?,
-                    controller,
-                    &options,
-                    telemetry_ref,
-                ),
-            },
-        }?;
+                    TargetSource::Single(target) => (target, None),
+                    TargetSource::Factory(factory) => {
+                        owned = factory();
+                        (owned.as_mut(), Some(factory))
+                    }
+                };
+            let mut plan = plan(
+                target,
+                campaign,
+                &options,
+                store.as_deref().filter(|_| resume),
+            )?;
+            let runs = execute(
+                &mut plan,
+                target,
+                factory.as_deref(),
+                workers,
+                campaign,
+                store.as_deref_mut(),
+                controller,
+                telemetry.as_ref(),
+            )?;
+            (runs, plan.reference, plan.static_analysis)
+        };
+        let stats = classify(&reference, &runs);
+        let mut result = CampaignResult {
+            campaign: campaign.clone(),
+            reference,
+            runs,
+            stats,
+            telemetry: None,
+            static_analysis,
+        };
 
         if let (Some(analysis), Some(store)) = (&result.static_analysis, store.as_deref_mut()) {
             store.put_static_analysis(&campaign.name, analysis)?;
@@ -495,21 +418,9 @@ impl<'a> CampaignRunner<'a> {
     }
 }
 
-fn needs_factory(workers: usize) -> GoofiError {
-    GoofiError::Campaign(format!(
-        "{workers} workers each need their own target; construct the runner with CampaignRunner::from_factory"
-    ))
-}
-
-fn require_store(store: Option<&mut GoofiStore>) -> Result<&mut GoofiStore> {
-    store.ok_or_else(|| {
-        GoofiError::Campaign(
-            "resume requires a database store (CampaignRunner::resume_from)".into(),
-        )
-    })
-}
-
-fn experiment_name(campaign: &str, index: usize) -> String {
+/// The experiment-row name the runner logs for index `index` of
+/// `campaign` — public so services can test row existence when resuming.
+pub fn logged_experiment_name(campaign: &str, index: usize) -> String {
     format!("{campaign}/{index:05}")
 }
 
@@ -582,6 +493,31 @@ fn predicted_run(reference: &ExperimentRun, fault: &PlannedFault) -> ExperimentR
     }
 }
 
+/// Builds the synthetic result of an equivalence-class member from its
+/// representative's executed run. Soundness: both faults mutate the same
+/// bits with the same model, and every target location is untouched by
+/// the fault-free execution between the two injection times (they share
+/// the location's first-touch window), so the post-injection trajectories
+/// — and therefore every logged observable — coincide exactly.
+///
+/// `activations_done` is copied from the representative so the member row
+/// round-trips through the store identically to a directly-executed one.
+fn fanned_run(representative: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
+    tracing::value(names::COUNTER_FANNED, 1);
+    ExperimentRun {
+        fault: Some(fault.clone()),
+        termination: representative.termination.clone(),
+        outputs: representative.outputs.clone(),
+        state: representative.state.clone(),
+        instructions: representative.instructions,
+        iterations: representative.iterations,
+        activations_done: representative.activations_done,
+        detail_trace: None,
+        pruned: false,
+        predicted: false,
+    }
+}
+
 /// How the campaign's prunability decisions are made, resolved once in
 /// [`prepare`] from [`RunOptions::pruning`] and the campaign flags.
 enum PruneInfo {
@@ -595,103 +531,81 @@ enum PruneInfo {
 }
 
 impl PruneInfo {
-    fn can_prune(&self, config: &crate::target::TargetSystemConfig, fault: &PlannedFault) -> bool {
+    fn can_prune(&self, config: &TargetSystemConfig, fault: &PlannedFault) -> bool {
         match self {
             PruneInfo::None => false,
             PruneInfo::Trace(liveness) => liveness.can_prune(config, fault),
             PruneInfo::Static(analysis) => analysis.can_prune(config, fault),
         }
     }
-
-    /// Consumes the info, surfacing the static analysis for the campaign
-    /// result (and persistence).
-    fn into_static(self) -> Option<StaticAnalysis> {
-        match self {
-            PruneInfo::Static(analysis) => Some(analysis),
-            _ => None,
-        }
-    }
 }
 
-/// Central prunability decision, shared by every runner variant.
-fn compute_prunable(
-    faults: &[PlannedFault],
-    prune: &PruneInfo,
-    config: &crate::target::TargetSystemConfig,
-) -> Vec<bool> {
-    faults.iter().map(|f| prune.can_prune(config, f)).collect()
+/// What the planner decided for one fault. Precedence, highest first:
+/// logged > pruned > predicted > proxied > execute.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Decision {
+    /// The row is already in the store (resume): reused, never re-logged.
+    Logged,
+    /// Pre-injection analysis proved the fault cannot differ from the
+    /// reference: the row is synthesised from the reference.
+    Pruned,
+    /// The propagation analysis proved the fault washes out (only under
+    /// [`RunOptions::prediction`] with static pruning): the row is
+    /// synthesised from the reference.
+    Predicted,
+    /// An equivalence-class member: the row is synthesised from the run
+    /// of the representative at this index, which is always the lowest
+    /// member index.
+    Proxied(usize),
+    /// The experiment executes on a target.
+    Execute,
 }
 
-/// Central prediction decision, shared by every runner variant: which
-/// experiments are synthesised from the reference because the
-/// propagation analysis proved their fault washes out. Requires the
-/// knob, static pruning info and the same technique/log-mode envelope as
-/// class execution (the proof covers corrupt-targets-at-times injection
-/// observed through terminal state only). Prunable faults stay prunable
-/// — prediction covers strictly live-but-washed faults.
-fn compute_predicted(
-    faults: &[PlannedFault],
-    prunable: &[bool],
-    prune: &PruneInfo,
-    campaign: &Campaign,
-    config: &crate::target::TargetSystemConfig,
-    options: &RunOptions,
-) -> Vec<bool> {
-    let technique_ok = matches!(
+/// Whether a campaign lies inside the envelope of the identical-outcome
+/// proofs behind prediction and class execution: corrupt-targets-at-times
+/// injection observed through terminal state only.
+fn synthesis_envelope(campaign: &Campaign) -> bool {
+    matches!(
         campaign.technique,
         Technique::Scifi | Technique::SwifiRuntime
-    );
-    let PruneInfo::Static(analysis) = prune else {
-        return vec![false; faults.len()];
-    };
-    if !options.prediction || !technique_ok || campaign.log_mode != LogMode::Normal {
-        return vec![false; faults.len()];
-    }
-    faults
-        .iter()
-        .enumerate()
-        .map(|(i, f)| !prunable[i] && analysis.can_predict(config, f))
-        .collect()
+    ) && campaign.log_mode == LogMode::Normal
 }
 
 /// A deterministic execution plan for one campaign on one target: the
-/// generated fault list, per-fault prunability, the fault-free reference
-/// run and (when enabled) the injection-time checkpoint cache.
+/// generated fault list, one [`Decision`] per fault, the fault-free
+/// reference run and (when enabled) the injection-time checkpoint cache.
 ///
-/// This is the piece of the runner that `goofi-server` worker processes
-/// need: every worker calls [`plan_campaign`] against the same campaign
-/// and derives the *same* plan (fault-list generation is seeded), then
-/// executes whatever chunk of experiment indices the server hands it.
-/// Rows produced through a plan are byte-identical to the sequential
-/// runner's — pruned experiments synthesise the reference outcome, live
-/// ones execute (checkpointed when the plan carries a cache).
-///
-/// Equivalence-class execution is deliberately *not* part of a plan:
-/// fanned rows are byte-identical to directly-executed ones (PR 5's
-/// contract), so distributed workers always execute directly and the
-/// class knob stays a single-process optimisation.
+/// Every campaign is planned here. `goofi-server` worker processes call
+/// [`plan_campaign`] against the same campaign, derive the *same* plan
+/// (fault-list generation is seeded), then execute whatever chunk of
+/// experiment indices the server hands them. Rows produced through a plan
+/// are byte-identical to the runner's.
 pub struct CampaignPlan {
     /// The generated fault list, in campaign order.
     pub faults: Vec<PlannedFault>,
-    /// `prunable[i]` — pre-injection analysis proved experiment `i`
-    /// cannot differ from the reference.
-    pub prunable: Vec<bool>,
-    /// `predicted[i]` — the propagation analysis proved experiment `i`'s
-    /// fault washes out, so its row is synthesised from the reference
-    /// (only under [`RunOptions::prediction`] with static pruning).
-    pub predicted: Vec<bool>,
+    /// What happens to each fault, in fault-list order.
+    pub decisions: Vec<Decision>,
     /// The fault-free reference run.
     pub reference: ExperimentRun,
-    /// The static analysis to persist, when the plan pruned statically.
+    /// The static analysis to persist, when the plan pruned statically or
+    /// grouped execution classes.
     pub static_analysis: Option<StaticAnalysis>,
     checkpoints: Option<CheckpointPlan>,
+    /// The stored runs of [`Decision::Logged`] faults, by index (resume
+    /// only; empty otherwise).
+    stored: Vec<Option<ExperimentRun>>,
+    /// Whether the reference row still has to be logged (it is absent
+    /// only when a resume reloaded it).
+    log_reference: bool,
 }
 
 /// Builds the shared campaign plan on `target`. Identical inputs
 /// (campaign, options) produce identical plans on every call — the
 /// foundation of multi-process execution and its byte-identical-DB
-/// guarantee. `options.class_execution` is ignored (see
-/// [`CampaignPlan`]); `options.scheduler` is irrelevant here.
+/// guarantee. Equivalence-class execution is deliberately left out:
+/// fanned rows are byte-identical to directly-executed ones, so
+/// distributed workers always execute directly and the class knob stays
+/// a single-process optimisation.
 ///
 /// # Errors
 ///
@@ -702,33 +616,130 @@ pub fn plan_campaign(
     campaign: &Campaign,
     options: &RunOptions,
 ) -> Result<CampaignPlan> {
-    let options = options.class_execution(false);
-    let (faults, prune, _class) = prepare(target, campaign, &options)?;
+    plan(target, campaign, &options.class_execution(false), None)
+}
+
+/// The planner: fault list, pruning, prediction, class grouping,
+/// reference run and checkpoint cache. With `resume`, rows already in
+/// that store are marked [`Decision::Logged`] and a stored reference is
+/// reused instead of re-run.
+fn plan(
+    target: &mut dyn TargetSystemInterface,
+    campaign: &Campaign,
+    options: &RunOptions,
+    resume: Option<&GoofiStore>,
+) -> Result<CampaignPlan> {
+    let (faults, prune, class_analysis) = prepare(target, campaign, options)?;
     let config = target.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, &options);
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(target, campaign)
-    }?;
-    let checkpoints = if options.checkpoint {
-        let skip: Vec<bool> = prunable
-            .iter()
-            .zip(&predicted)
-            .map(|(&a, &b)| a || b)
+    let predictor = match &prune {
+        PruneInfo::Static(analysis) if options.prediction && synthesis_envelope(campaign) => {
+            Some(analysis)
+        }
+        _ => None,
+    };
+    let mut decisions: Vec<Decision> = faults
+        .iter()
+        .map(|f| {
+            if prune.can_prune(&config, f) {
+                Decision::Pruned
+            } else if predictor.is_some_and(|a| a.can_predict(&config, f)) {
+                Decision::Predicted
+            } else {
+                Decision::Execute
+            }
+        })
+        .collect();
+    let static_analysis = match class_analysis {
+        Some(mut analysis) => {
+            group_classes(&mut analysis, campaign, &config, &faults, &mut decisions);
+            Some(analysis)
+        }
+        None => match prune {
+            PruneInfo::Static(analysis) => Some(analysis),
+            _ => None,
+        },
+    };
+
+    let mut stored = Vec::new();
+    let mut reference = None;
+    if let Some(store) = resume {
+        stored = (0..faults.len())
+            .map(|i| {
+                store
+                    .get_experiment(&logged_experiment_name(&campaign.name, i))
+                    .ok()
+                    .map(|record| record.to_run())
+            })
             .collect();
+        for (decision, run) in decisions.iter_mut().zip(&stored) {
+            if run.is_some() {
+                *decision = Decision::Logged;
+            }
+        }
+        reference = store
+            .get_experiment(&reference_experiment_name(&campaign.name))
+            .ok()
+            .map(|record| record.to_run());
+    }
+    let log_reference = reference.is_none();
+    let reference = match reference {
+        Some(reference) => reference,
+        None => {
+            let _s = tracing::span(names::PHASE_REFERENCE);
+            reference_run(target, campaign)?
+        }
+    };
+
+    // Only executed experiments contribute checkpoint snapshot times.
+    let checkpoints = if options.checkpoint {
+        let skip: Vec<bool> = decisions.iter().map(|&d| d != Decision::Execute).collect();
         CheckpointPlan::build(target, campaign, &faults, &skip)
     } else {
         None
     };
     Ok(CampaignPlan {
         faults,
-        prunable,
-        predicted,
+        decisions,
         reference,
-        static_analysis: prune.into_static(),
+        static_analysis,
         checkpoints,
+        stored,
+        log_reference,
     })
+}
+
+/// Groups the executed faults into live equivalence classes (recorded on
+/// `analysis` for persistence) and marks every member but the lowest-index
+/// representative [`Decision::Proxied`].
+///
+/// Eligibility is conservative: the identical-trajectory proof covers
+/// breakpoint-injected faults observed in normal log mode whose pre-final
+/// activations (if any) provably wash out ([`StaticAnalysis::prefix_washed`],
+/// checked inside [`StaticAnalysis::compute_execution_classes`]). Pruned
+/// and predicted faults already synthesise the reference, so neither
+/// executes nor anchors a class.
+fn group_classes(
+    analysis: &mut StaticAnalysis,
+    campaign: &Campaign,
+    config: &TargetSystemConfig,
+    faults: &[PlannedFault],
+    decisions: &mut [Decision],
+) {
+    let envelope = synthesis_envelope(campaign);
+    let eligible: Vec<bool> = decisions
+        .iter()
+        .map(|&d| envelope && d == Decision::Execute)
+        .collect();
+    analysis.compute_execution_classes(config, faults, &eligible);
+    for class in analysis
+        .classes
+        .iter()
+        .filter(|c| c.kind == ClassKind::Live)
+    {
+        for &m in class.members.iter().filter(|&&m| m != class.representative) {
+            decisions[m] = Decision::Proxied(class.representative);
+        }
+    }
 }
 
 impl CampaignPlan {
@@ -742,9 +753,10 @@ impl CampaignPlan {
         self.faults.is_empty()
     }
 
-    /// Executes experiment `index` (or synthesises it when prunable) and
-    /// returns its run. Byte-identical to what the sequential runner
-    /// would log for the same index.
+    /// Executes experiment `index` (or synthesises it when pruned or
+    /// predicted) and returns its run. Byte-identical to what the runner
+    /// would log for the same index; a proxied experiment executes
+    /// directly, which yields its representative's row by construction.
     ///
     /// # Errors
     ///
@@ -762,19 +774,24 @@ impl CampaignPlan {
                 self.faults.len()
             ))
         })?;
-        if self.prunable[index] {
-            tracing::value(names::COUNTER_PRUNED, 1);
-            return Ok(pruned_run(&self.reference, fault));
-        }
-        if self.predicted[index] {
-            tracing::value(names::COUNTER_PREDICTED, 1);
-            return Ok(predicted_run(&self.reference, fault));
-        }
-        let _s = tracing::span(names::PHASE_EXPERIMENT);
-        if let Some(plan) = &self.checkpoints {
-            run_experiment_checkpointed(target, campaign, fault, plan)
-        } else {
-            run_experiment(target, campaign, fault)
+        match self.decisions[index] {
+            Decision::Pruned => {
+                tracing::value(names::COUNTER_PRUNED, 1);
+                Ok(pruned_run(&self.reference, fault))
+            }
+            Decision::Predicted => {
+                tracing::value(names::COUNTER_PREDICTED, 1);
+                Ok(predicted_run(&self.reference, fault))
+            }
+            _ => {
+                let _s = tracing::span(names::PHASE_EXPERIMENT);
+                match &self.checkpoints {
+                    // Warm start: rewind to the nearest checkpoint
+                    // preceding the fault's first activation.
+                    Some(plan) => run_experiment_checkpointed(target, campaign, fault, plan),
+                    None => run_experiment(target, campaign, fault),
+                }
+            }
         }
     }
 
@@ -786,7 +803,7 @@ impl CampaignPlan {
         index: usize,
         run: &ExperimentRun,
     ) -> ExperimentRecord {
-        record_of(campaign, experiment_name(&campaign.name, index), run)
+        record_of(campaign, logged_experiment_name(&campaign.name, index), run)
     }
 
     /// The loggable record of the fault-free reference run.
@@ -796,125 +813,6 @@ impl CampaignPlan {
             reference_experiment_name(&campaign.name),
             &self.reference,
         )
-    }
-}
-
-/// The experiment-row name the runner logs for index `index` of
-/// `campaign` — public so services can test row existence when resuming.
-pub fn logged_experiment_name(campaign: &str, index: usize) -> String {
-    experiment_name(campaign, index)
-}
-
-/// Builds the synthetic result of an equivalence-class member from its
-/// representative's executed run. Soundness: both faults mutate the same
-/// bits with the same model, and every target location is untouched by
-/// the fault-free execution between the two injection times (they share
-/// the location's first-touch window), so the post-injection trajectories
-/// — and therefore every logged observable — coincide exactly.
-///
-/// `activations_done` is copied from the representative so the member row
-/// round-trips through the store identically to a directly-executed one.
-fn fanned_run(representative: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
-    ExperimentRun {
-        fault: Some(fault.clone()),
-        termination: representative.termination.clone(),
-        outputs: representative.outputs.clone(),
-        state: representative.state.clone(),
-        instructions: representative.instructions,
-        iterations: representative.iterations,
-        activations_done: representative.activations_done,
-        detail_trace: None,
-        pruned: false,
-        predicted: false,
-    }
-}
-
-/// The equivalence-class execution plan: which faults are proxied by a
-/// representative, and which members each representative fans out to.
-struct ClassPlan {
-    /// `proxy[i] = Some(rep)` when fault `i`'s row is synthesised from
-    /// `rep`'s executed run instead of running experiment `i` directly.
-    /// The representative is always the lowest member index, so
-    /// `rep < i` for every proxied `i`.
-    proxy: Vec<Option<usize>>,
-    /// Representative index → proxied member indices, ascending.
-    fanout: BTreeMap<usize, Vec<usize>>,
-}
-
-impl ClassPlan {
-    /// Groups the fault list into live execution classes (recorded on
-    /// `analysis` for persistence) and derives the proxy/fan-out tables.
-    ///
-    /// Eligibility is conservative: the identical-trajectory proof covers
-    /// breakpoint-injected faults observed in normal log mode whose
-    /// pre-final activations (if any) provably wash out
-    /// ([`StaticAnalysis::prefix_washed`], checked inside
-    /// [`StaticAnalysis::compute_execution_classes`]). Pruned faults
-    /// already synthesise the reference and predicted faults synthesise
-    /// it too (`skip`), so neither executes nor anchors a class.
-    fn build(
-        analysis: &mut StaticAnalysis,
-        campaign: &Campaign,
-        config: &crate::target::TargetSystemConfig,
-        faults: &[PlannedFault],
-        skip: &[bool],
-    ) -> ClassPlan {
-        let technique_ok = matches!(
-            campaign.technique,
-            Technique::Scifi | Technique::SwifiRuntime
-        );
-        let eligible: Vec<bool> = faults
-            .iter()
-            .enumerate()
-            .map(|(i, _f)| technique_ok && campaign.log_mode == LogMode::Normal && !skip[i])
-            .collect();
-        analysis.compute_execution_classes(config, faults, &eligible);
-        let mut proxy = vec![None; faults.len()];
-        let mut fanout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for class in &analysis.classes {
-            if class.kind != ClassKind::Live {
-                continue;
-            }
-            let rep = class.representative;
-            let members: Vec<usize> = class
-                .members
-                .iter()
-                .copied()
-                .filter(|&m| m != rep)
-                .collect();
-            for &m in &members {
-                proxy[m] = Some(rep);
-            }
-            if !members.is_empty() {
-                fanout.insert(rep, members);
-            }
-        }
-        ClassPlan { proxy, fanout }
-    }
-}
-
-/// `Some(rep)` when experiment `i` is proxied under the (optional) plan.
-fn proxied(plan: Option<&ClassPlan>, i: usize) -> Option<usize> {
-    plan.and_then(|p| p.proxy[i])
-}
-
-/// Resolves class execution for one campaign: the plan (when enabled and
-/// supported) plus the analysis to persist — the class-bearing analysis
-/// when class execution ran, otherwise whatever static pruning produced.
-fn resolve_classes(
-    campaign: &Campaign,
-    config: &crate::target::TargetSystemConfig,
-    faults: &[PlannedFault],
-    skip: &[bool],
-    prune: PruneInfo,
-    class_analysis: Option<StaticAnalysis>,
-) -> (Option<ClassPlan>, Option<StaticAnalysis>) {
-    match class_analysis {
-        Some(mut analysis) => {
-            let plan = ClassPlan::build(&mut analysis, campaign, config, faults, skip);
-            (Some(plan), Some(analysis))
-        }
-        None => (None, prune.into_static()),
     }
 }
 
@@ -951,53 +849,43 @@ fn prepare(
         campaign.seed,
         trace.as_deref(),
     )?;
+    let horizon = faults
+        .iter()
+        .flat_map(|f| f.times.iter().copied())
+        .max()
+        .unwrap_or(0);
     let prune = match options.pruning {
         Pruning::Off => PruneInfo::None,
         Pruning::Trace if trace_pruning => PruneInfo::Trace(LivenessAnalysis::from_trace(
             trace.as_deref().expect("trace collected above"),
         )),
         Pruning::Trace => PruneInfo::None,
-        Pruning::Static => {
-            let horizon = faults
-                .iter()
-                .flat_map(|f| f.times.iter().copied())
-                .max()
-                .unwrap_or(0);
-            match target.static_analysis(horizon) {
-                Ok(mut analysis) => {
-                    analysis.compute_classes(&config, &faults);
-                    PruneInfo::Static(analysis)
-                }
-                // Same fallback idiom as the checkpoint cache: a target
-                // without a static analyzer runs the campaign unpruned.
-                Err(GoofiError::Unsupported { .. }) => PruneInfo::None,
-                Err(e) => return Err(e),
+        Pruning::Static => match target.static_analysis(horizon) {
+            Ok(mut analysis) => {
+                analysis.compute_classes(&config, &faults);
+                PruneInfo::Static(analysis)
             }
-        }
+            // Same fallback idiom as the checkpoint cache: a target
+            // without a static analyzer runs the campaign unpruned.
+            Err(GoofiError::Unsupported { .. }) => PruneInfo::None,
+            Err(e) => return Err(e),
+        },
     };
-    let class_analysis = if options.class_execution {
-        match &prune {
-            // Static pruning already computed the analysis; classes are
-            // grouped on a copy so the persisted row carries both the
-            // dead classes and the live execution classes.
-            PruneInfo::Static(analysis) => Some(analysis.clone()),
-            _ => {
-                let horizon = faults
-                    .iter()
-                    .flat_map(|f| f.times.iter().copied())
-                    .max()
-                    .unwrap_or(0);
-                match target.static_analysis(horizon) {
-                    Ok(analysis) => Some(analysis),
-                    // Same fallback as above: no analyzer, no classes —
-                    // every experiment executes directly.
-                    Err(GoofiError::Unsupported { .. }) => None,
-                    Err(e) => return Err(e),
-                }
-            }
-        }
-    } else {
+    let class_analysis = if !options.class_execution {
         None
+    } else if let PruneInfo::Static(analysis) = &prune {
+        // Static pruning already computed the analysis; classes are
+        // grouped on a copy so the persisted row carries both the dead
+        // classes and the live execution classes.
+        Some(analysis.clone())
+    } else {
+        match target.static_analysis(horizon) {
+            Ok(analysis) => Some(analysis),
+            // Same fallback as above: no analyzer, no classes — every
+            // experiment executes directly.
+            Err(GoofiError::Unsupported { .. }) => None,
+            Err(e) => return Err(e),
+        }
     };
     Ok((faults, prune, class_analysis))
 }
@@ -1008,207 +896,179 @@ fn classify(reference: &ExperimentRun, runs: &[ExperimentRun]) -> CampaignStats 
     CampaignStats::from_runs(reference, runs)
 }
 
-/// The sequential path (one target, one thread).
-fn sequential_run(
-    target: &mut dyn TargetSystemInterface,
-    campaign: &Campaign,
-    mut store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    let (faults, prune, class_analysis) = prepare(target, campaign, options)?;
-    let config = target.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
+// ----------------------------------------------------------------------
+// The executor
+// ----------------------------------------------------------------------
 
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Started {
-            campaign: campaign.name.clone(),
-            total: faults.len(),
-        });
-    }
+/// The single ordered sink every finished row passes through: it logs
+/// the reference first, then experiment rows in fault-list order (a
+/// reorder buffer absorbs out-of-order arrivals from the pool), and emits
+/// progress events.
+struct Sink<'a> {
+    store: Option<&'a mut GoofiStore>,
+    controller: Option<&'a Controller>,
+    decisions: &'a [Decision],
+    /// Rows done so far, stored rows included.
+    completed: usize,
+    /// The next fault index to log.
+    next: usize,
+    pending: BTreeMap<usize, ExperimentRecord>,
+}
 
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(target, campaign)
-    }?;
-    if let Some(store) = store.as_deref_mut() {
-        store.log_experiment(&record_of(
-            campaign,
-            reference_experiment_name(&campaign.name),
-            &reference,
-        ))?;
-    }
-
-    // Proxied class members never execute, so they contribute no
-    // checkpoint snapshot times either.
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = (0..faults.len())
-            .map(|i| skip[i] || proxied(class_plan.as_ref(), i).is_some())
-            .collect();
-        CheckpointPlan::build(target, campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-
-    let mut gauges = WorkerTelemetry::default();
-    let mut runs = Vec::with_capacity(faults.len());
-    let mut stopped = false;
-    for (i, fault) in faults.iter().enumerate() {
+impl<'a> Sink<'a> {
+    fn open(
+        plan: &'a CampaignPlan,
+        campaign: &'a Campaign,
+        mut store: Option<&'a mut GoofiStore>,
+        controller: Option<&'a Controller>,
+    ) -> Result<Sink<'a>> {
         if let Some(ctl) = controller {
-            match ctl.checkpoint() {
-                Ok(()) => {}
-                Err(GoofiError::Stopped) => {
-                    stopped = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        let pruned = prunable[i];
-        let run = if pruned {
-            tracing::value(names::COUNTER_PRUNED, 1);
-            pruned_run(&reference, fault)
-        } else if predicted[i] {
-            tracing::value(names::COUNTER_PREDICTED, 1);
-            predicted_run(&reference, fault)
-        } else if let Some(rep) = proxied(class_plan.as_ref(), i) {
-            // The representative has the lowest index in its class, so
-            // its run is already in `runs`.
-            tracing::value(names::COUNTER_FANNED, 1);
-            fanned_run(&runs[rep], fault)
-        } else {
-            let busy_t0 = telemetry.map(|_| Instant::now());
-            let run = {
-                let _s = tracing::span(names::PHASE_EXPERIMENT);
-                if let Some(plan) = &plan {
-                    run_experiment_checkpointed(target, campaign, fault, plan)
-                } else {
-                    run_experiment(target, campaign, fault)
-                }
-            }?;
-            if let Some(t0) = busy_t0 {
-                gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            gauges.claimed += 1;
-            run
-        };
-        if let Some(store) = store.as_deref_mut() {
-            store.log_experiment(&record_of(
-                campaign,
-                experiment_name(&campaign.name, i),
-                &run,
-            ))?;
-        }
-        if let Some(ctl) = controller {
-            ctl.emit(ProgressEvent::ExperimentDone {
-                completed: i + 1,
-                total: faults.len(),
-                pruned,
+            ctl.emit(ProgressEvent::Started {
+                campaign: campaign.name.clone(),
+                total: plan.len(),
             });
         }
-        runs.push(run);
+        if let (true, Some(store)) = (plan.log_reference, store.as_deref_mut()) {
+            store.log_experiment(&plan.reference_record(campaign))?;
+        }
+        let mut sink = Sink {
+            store,
+            controller,
+            decisions: &plan.decisions,
+            completed: plan
+                .decisions
+                .iter()
+                .filter(|&&d| d == Decision::Logged)
+                .count(),
+            next: 0,
+            pending: BTreeMap::new(),
+        };
+        sink.skip_logged();
+        Ok(sink)
     }
 
+    fn skip_logged(&mut self) {
+        while self.decisions.get(self.next) == Some(&Decision::Logged) {
+            self.next += 1;
+        }
+    }
+
+    /// Accepts finished row `index` (`record` is `None` without a store).
+    fn accept(&mut self, index: usize, record: Option<ExperimentRecord>) -> Result<()> {
+        if let Some(record) = record {
+            self.pending.insert(index, record);
+            while let Some(record) = self.pending.remove(&self.next) {
+                if let Some(store) = self.store.as_deref_mut() {
+                    store.log_experiment(&record)?;
+                }
+                self.next += 1;
+                self.skip_logged();
+            }
+        }
+        self.completed += 1;
+        if let Some(ctl) = self.controller {
+            ctl.emit(ProgressEvent::ExperimentDone {
+                completed: self.completed,
+                total: self.decisions.len(),
+                pruned: self.decisions[index] == Decision::Pruned,
+            });
+        }
+        Ok(())
+    }
+
+    /// Logs the rows a stop stranded behind gaps in the fault-index
+    /// sequence, so no finished work is discarded (resume skips exactly
+    /// the missing rows).
+    fn close(self) -> Result<()> {
+        if let Some(store) = self.store {
+            for record in self.pending.into_values() {
+                store.log_experiment(&record)?;
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Produces row `index` on `target` per its decision — synthesised when
+/// pruned or predicted, executed otherwise — charging executions to
+/// `gauges`.
+fn produce(
+    plan: &CampaignPlan,
+    target: &mut dyn TargetSystemInterface,
+    campaign: &Campaign,
+    index: usize,
+    gauges: &mut WorkerTelemetry,
+    timed: bool,
+) -> Result<ExperimentRun> {
+    if plan.decisions[index] != Decision::Execute {
+        return plan.execute(target, campaign, index);
+    }
+    let busy_t0 = timed.then(Instant::now);
+    let run = plan.execute(target, campaign, index)?;
+    if let Some(t0) = busy_t0 {
+        gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
+    }
+    gauges.claimed += 1;
+    Ok(run)
+}
+
+/// The executor: walks the plan's decisions and passes every finished row
+/// through one [`Sink`]. One worker runs inline on the planner's target;
+/// more run the work-stealing pool. Returns the runs in fault-list order
+/// (the completed subset when stopped).
+#[allow(clippy::too_many_arguments)]
+fn execute(
+    plan: &mut CampaignPlan,
+    target: &mut dyn TargetSystemInterface,
+    factory: Option<&Factory<'_>>,
+    workers: usize,
+    campaign: &Campaign,
+    store: Option<&mut GoofiStore>,
+    controller: Option<&Controller>,
+    telemetry: Option<&Telemetry>,
+) -> Result<Vec<ExperimentRun>> {
+    let stored = std::mem::take(&mut plan.stored);
+    let plan = &*plan;
+    let mut sink = Sink::open(plan, campaign, store, controller)?;
+    let (runs, stopped) = match factory {
+        Some(factory) if workers > 1 => run_pool(
+            plan, stored, target, factory, workers, campaign, sink, controller, telemetry,
+        )?,
+        _ => {
+            let out = run_inline(
+                plan, stored, target, campaign, &mut sink, controller, telemetry,
+            )?;
+            sink.close()?;
+            out
+        }
+    };
     if let Some(ctl) = controller {
         ctl.emit(ProgressEvent::Finished {
             completed: runs.len(),
             stopped,
         });
     }
-
-    let stats = classify(&reference, &runs);
-    if let Some(t) = telemetry {
-        t.recorder.record_worker(gauges);
-    }
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
+    Ok(runs)
 }
 
-/// The sequential resume path: experiments whose `LoggedSystemState` row
-/// already exists are skipped; the reference run is reused from the store
-/// when present. Returns the *complete* result (stored rows + freshly run
-/// experiments, in fault-list order).
-fn sequential_resume(
+/// One worker on the calling thread, in fault-list order: the sink is
+/// called inline and pause/stop go through [`Controller::checkpoint`], so
+/// a stopped campaign leaves exactly a fault-list prefix.
+fn run_inline(
+    plan: &CampaignPlan,
+    mut stored: Vec<Option<ExperimentRun>>,
     target: &mut dyn TargetSystemInterface,
     campaign: &Campaign,
-    store: &mut GoofiStore,
+    sink: &mut Sink<'_>,
     controller: Option<&Controller>,
-    options: &RunOptions,
     telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    let (faults, prune, class_analysis) = prepare(target, campaign, options)?;
-    let config = target.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
-
-    // Reference: reuse the stored row, or make and log it now.
-    let ref_name = reference_experiment_name(&campaign.name);
-    let reference = match store.get_experiment(&ref_name) {
-        Ok(record) => record.to_run(),
-        Err(_) => {
-            let reference = {
-                let _s = tracing::span(names::PHASE_REFERENCE);
-                reference_run(target, campaign)
-            }?;
-            store.log_experiment(&record_of(campaign, ref_name, &reference))?;
-            reference
-        }
-    };
-
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Started {
-            campaign: campaign.name.clone(),
-            total: faults.len(),
-        });
-    }
-
-    // The pilot only needs checkpoints for experiments that will actually
-    // run: stored rows, prunable faults and proxied class members
-    // contribute no snapshot times.
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = (0..faults.len())
-            .map(|i| {
-                skip[i]
-                    || proxied(class_plan.as_ref(), i).is_some()
-                    || store
-                        .get_experiment(&experiment_name(&campaign.name, i))
-                        .is_ok()
-            })
-            .collect();
-        CheckpointPlan::build(target, campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-
+) -> Result<(Vec<ExperimentRun>, bool)> {
     let mut gauges = WorkerTelemetry::default();
-    let mut runs = Vec::with_capacity(faults.len());
+    let mut runs: Vec<ExperimentRun> = Vec::with_capacity(plan.len());
     let mut stopped = false;
-    for (i, fault) in faults.iter().enumerate() {
-        let name = experiment_name(&campaign.name, i);
-        if let Ok(record) = store.get_experiment(&name) {
-            runs.push(record.to_run());
+    for (i, &decision) in plan.decisions.iter().enumerate() {
+        if decision == Decision::Logged {
+            runs.push(stored[i].take().expect("logged rows are loaded"));
             continue;
         }
         if let Some(ctl) = controller {
@@ -1221,73 +1081,25 @@ fn sequential_resume(
                 Err(other) => return Err(other),
             }
         }
-        let pruned = prunable[i];
-        let run = if pruned {
-            tracing::value(names::COUNTER_PRUNED, 1);
-            pruned_run(&reference, fault)
-        } else if predicted[i] {
-            tracing::value(names::COUNTER_PREDICTED, 1);
-            predicted_run(&reference, fault)
-        } else if let Some(rep) = proxied(class_plan.as_ref(), i) {
-            // The representative's run is in `runs` whether it was
-            // reloaded from the store or executed just now: rep < i.
-            tracing::value(names::COUNTER_FANNED, 1);
-            fanned_run(&runs[rep], fault)
-        } else {
-            let busy_t0 = telemetry.map(|_| Instant::now());
-            let run = {
-                let _s = tracing::span(names::PHASE_EXPERIMENT);
-                if let Some(plan) = &plan {
-                    run_experiment_checkpointed(target, campaign, fault, plan)
-                } else {
-                    run_experiment(target, campaign, fault)
-                }
-            }?;
-            if let Some(t0) = busy_t0 {
-                gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-            }
-            gauges.claimed += 1;
-            run
+        let run = match decision {
+            // The representative has the lowest index in its class, so
+            // its run — reloaded or executed — is already in `runs`.
+            Decision::Proxied(rep) => fanned_run(&runs[rep], &plan.faults[i]),
+            _ => produce(plan, target, campaign, i, &mut gauges, telemetry.is_some())?,
         };
-        store.log_experiment(&record_of(campaign, name, &run))?;
-        if let Some(ctl) = controller {
-            ctl.emit(ProgressEvent::ExperimentDone {
-                completed: i + 1,
-                total: faults.len(),
-                pruned,
-            });
-        }
+        let record = sink.store.is_some().then(|| plan.record(campaign, i, &run));
+        sink.accept(i, record)?;
         runs.push(run);
     }
-
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Finished {
-            completed: runs.len(),
-            stopped,
-        });
-    }
-
-    let stats = classify(&reference, &runs);
     if let Some(t) = telemetry {
         t.recorder.record_worker(gauges);
     }
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
+    Ok((runs, stopped))
 }
 
-// ----------------------------------------------------------------------
-// Work-stealing parallel runner
-// ----------------------------------------------------------------------
-
 /// Worker/writer pause-stop gate: workers ask for admission before every
-/// experiment; the writer thread translates operator [`Command`]s into
-/// state changes. Stop is terminal.
+/// row; the writer thread translates operator [`Command`]s into state
+/// changes. Stop is terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GateState {
     Running,
@@ -1332,141 +1144,68 @@ impl Gate {
     }
 }
 
-/// One finished experiment travelling from a worker (or the pruning
-/// pre-pass) to the writer thread.
-struct FinishedExperiment {
-    index: usize,
-    pruned: bool,
-    /// Present only when a store is attached (built by the worker, so
-    /// record serialisation cost is spread across threads too).
-    record: Option<ExperimentRecord>,
-}
-
-struct WriterOutcome {
-    completed: usize,
-    stopped: bool,
-    error: Option<GoofiError>,
-}
-
-/// Commands already pending when the campaign starts, applied on the main
-/// thread *before* any worker spawns so that stop/pause-before-start is
-/// deterministic (matching the sequential runner) instead of racing the
-/// first experiments.
-struct PreCommands {
-    paused: bool,
-    stopped: bool,
-}
-
-fn drain_pre_commands(controller: Option<&Controller>) -> PreCommands {
-    let mut pre = PreCommands {
-        paused: false,
-        stopped: false,
+/// Applies the commands already pending when the pool starts, on the
+/// calling thread *before* any worker spawns, so that stop/pause-before-
+/// start is deterministic (matching the inline executor) instead of
+/// racing the first rows. Returns whether the campaign starts stopped.
+fn drain_pre_commands(controller: Option<&Controller>, gate: &Gate) -> bool {
+    let Some(ctl) = controller else {
+        return false;
     };
-    if let Some(ctl) = controller {
-        while let Ok(cmd) = ctl.command_receiver().try_recv() {
-            match cmd {
-                Command::Pause => {
-                    if !pre.paused {
-                        pre.paused = true;
-                        ctl.emit(ProgressEvent::Paused);
-                    }
-                }
-                Command::Resume => {
-                    if pre.paused {
-                        pre.paused = false;
-                        ctl.emit(ProgressEvent::Resumed);
-                    }
-                }
-                Command::Stop => pre.stopped = true,
+    let mut paused = false;
+    while let Ok(cmd) = ctl.command_receiver().try_recv() {
+        match cmd {
+            Command::Pause if !paused => {
+                paused = true;
+                ctl.emit(ProgressEvent::Paused);
             }
+            Command::Resume if paused => {
+                paused = false;
+                ctl.emit(ProgressEvent::Resumed);
+            }
+            Command::Stop => {
+                gate.set(GateState::Stopped);
+                return true;
+            }
+            _ => {}
         }
     }
-    pre
+    if paused {
+        gate.set(GateState::Paused);
+    }
+    false
 }
 
-/// The writer thread: single consumer of finished experiments. Streams
-/// records to the store in fault-list order (reorder buffer), emits
-/// progress events, and applies operator commands to the worker gate.
-#[allow(clippy::too_many_arguments)]
+/// The writer thread: owns the sink, drains finished rows from the
+/// workers and applies operator commands to the worker gate. Returns
+/// whether the campaign was stopped.
 fn writer_loop(
-    rx: crossbeam::channel::Receiver<FinishedExperiment>,
-    mut store: Option<&mut GoofiStore>,
+    rx: crossbeam::channel::Receiver<(usize, Option<ExperimentRecord>)>,
+    mut sink: Sink<'_>,
     controller: Option<&Controller>,
     gate: &Gate,
-    abort: &std::sync::atomic::AtomicBool,
-    total: usize,
-    expected: &[bool],
-    log_reference: bool,
-    campaign: &Campaign,
-    reference: &ExperimentRun,
-    pre: &PreCommands,
-) -> WriterOutcome {
-    use std::sync::atomic::Ordering;
-
-    let mut out = WriterOutcome {
-        completed: 0,
-        stopped: pre.stopped,
-        error: None,
-    };
-    if log_reference {
-        if let Some(store) = store.as_deref_mut() {
-            if let Err(e) = store.log_experiment(&record_of(
-                campaign,
-                reference_experiment_name(&campaign.name),
-                reference,
-            )) {
-                out.error = Some(e);
-                abort.store(true, Ordering::Relaxed);
-            }
-        }
-    }
-
-    // Reorder buffer: stream rows in fault-list order so a parallel
-    // campaign's database is byte-identical to a sequential one's.
-    let mut pending: std::collections::BTreeMap<usize, ExperimentRecord> =
-        std::collections::BTreeMap::new();
-    let mut next = 0usize;
-    let skip_unexpected = |next: &mut usize| {
-        while *next < expected.len() && !expected[*next] {
-            *next += 1;
-        }
-    };
-    skip_unexpected(&mut next);
-
+    abort: &AtomicBool,
+    mut stopped: bool,
+) -> Result<bool> {
     let never = crossbeam::channel::never::<Command>();
     let mut commands = controller
         .map(|c| c.command_receiver().clone())
         .unwrap_or_else(|| never.clone());
-    let mut paused = pre.paused;
+    let mut paused = *gate.state.lock() == GateState::Paused;
+    let mut error = None;
 
     loop {
         crossbeam::channel::select! {
             recv(rx) -> msg => match msg {
-                Ok(m) => {
-                    out.completed += 1;
-                    if let Some(ctl) = controller {
-                        ctl.emit(ProgressEvent::ExperimentDone {
-                            completed: out.completed,
-                            total,
-                            pruned: m.pruned,
-                        });
-                    }
-                    if out.error.is_none() {
-                        if let (Some(store), Some(record)) = (store.as_deref_mut(), m.record) {
-                            pending.insert(m.index, record);
-                            while let Some(record) = pending.remove(&next) {
-                                if let Err(e) = store.log_experiment(&record) {
-                                    out.error = Some(e);
-                                    abort.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                                next += 1;
-                                skip_unexpected(&mut next);
-                            }
+                Ok((index, record)) => {
+                    if error.is_none() {
+                        if let Err(e) = sink.accept(index, record) {
+                            error = Some(e);
+                            abort.store(true, Ordering::Relaxed);
                         }
                     }
                 }
-                // All workers (and the pruning pre-pass) are done.
+                // All workers are done.
                 Err(_) => break,
             },
             recv(commands) -> cmd => match cmd {
@@ -1489,7 +1228,7 @@ fn writer_loop(
                     }
                 }
                 Ok(Command::Stop) => {
-                    out.stopped = true;
+                    stopped = true;
                     gate.set(GateState::Stopped);
                 }
                 Err(_) => {
@@ -1505,296 +1244,168 @@ fn writer_loop(
             },
         }
     }
-
-    // A stop leaves gaps in the fault-index sequence; flush whatever
-    // arrived beyond a gap so no finished work is discarded (resume skips
-    // exactly the missing rows).
-    if out.error.is_none() {
-        if let Some(store) = store {
-            for record in pending.into_values() {
-                if let Err(e) = store.log_experiment(&record) {
-                    out.error = Some(e);
-                    break;
-                }
-            }
-        }
+    match error {
+        Some(e) => Err(e),
+        None => sink.close().map(|()| stopped),
     }
-    out
 }
 
-/// The shared work-stealing engine behind the parallel run and resume
-/// paths.
+/// The work-stealing pool.
 ///
-/// * `slots[i]` is `Some` for experiments already completed (resume); the
-///   engine fills in the rest and returns the merged vector.
-/// * Scheduling: a pruning pre-pass synthesises all prunable runs up
-///   front, so workers only ever claim real experiments off a shared
-///   atomic cursor (chunked claims amortise contention). Each worker
-///   buffers results locally; buffers are merged once after the join.
-/// * A writer thread streams finished records to the store in fault-list
-///   order, emits progress events, and honours pause/stop.
+/// * Workers claim chunks of the undecided indices off a shared atomic
+///   cursor (chunked claims amortise contention) and synthesise pruned
+///   and predicted rows inline. A worker executing a class representative
+///   fans its members out right after it, so each member's row follows
+///   its representative's on the same FIFO channel — a member row can
+///   only be stored if its representative's is too, which keeps
+///   stop/resume sound. Members of a representative reloaded from the
+///   store are claimed like any other row.
+/// * Worker 0 reuses the planner's target; the others build their own.
+/// * The writer thread owns the [`Sink`] and honours pause/stop.
 /// * With telemetry enabled, every worker (and the writer) installs the
-///   recorder dispatch and reports scheduler gauges: experiments claimed,
-///   chunk claims beyond the first ("steals" relative to a one-shot
-///   static partition), busy and idle time.
+///   recorder dispatch and reports scheduler gauges: experiments
+///   executed, chunk claims beyond the first ("steals" relative to a
+///   one-shot static partition), busy and idle time.
 #[allow(clippy::too_many_arguments)]
-fn parallel_engine(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
-    faults: &[PlannedFault],
-    prunable: &[bool],
-    predicted: &[bool],
-    plan: Option<&CheckpointPlan>,
-    class_plan: Option<&ClassPlan>,
-    reference: &ExperimentRun,
-    log_reference: bool,
+fn run_pool(
+    plan: &CampaignPlan,
     mut slots: Vec<Option<ExperimentRun>>,
+    first: &mut dyn TargetSystemInterface,
+    factory: &Factory<'_>,
+    workers: usize,
+    campaign: &Campaign,
+    sink: Sink<'_>,
+    controller: Option<&Controller>,
     telemetry: Option<&Telemetry>,
 ) -> Result<(Vec<ExperimentRun>, bool)> {
-    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-
-    let total = faults.len();
-    debug_assert_eq!(slots.len(), total);
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Started {
-            campaign: campaign.name.clone(),
-            total,
-        });
+    let decisions = &plan.decisions;
+    slots.resize_with(plan.len(), || None);
+    let mut fanout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
+    let mut worklist = Vec::new();
+    for (i, &decision) in decisions.iter().enumerate() {
+        match decision {
+            Decision::Logged => {}
+            Decision::Proxied(rep) if decisions[rep] != Decision::Logged => {
+                fanout.entry(rep).or_default().push(i);
+            }
+            _ => worklist.push(i),
+        }
     }
-
-    // `expected[i]`: a FinishedExperiment message will arrive for index i
-    // (false for rows preloaded from the store on resume). Proxied class
-    // members are never claimed: the worker that executes their
-    // representative fans their rows out itself, so each message still
-    // arrives — and on the same FIFO channel *after* the representative's,
-    // which keeps stop/resume sound (a member row can only be in the
-    // store if its representative's row is too).
-    let expected: Vec<bool> = slots.iter().map(Option::is_none).collect();
-    let worklist: Vec<usize> = (0..total)
-        .filter(|&i| {
-            expected[i] && !prunable[i] && !predicted[i] && proxied(class_plan, i).is_none()
-        })
-        .collect();
     // Chunked claims: large enough to amortise cursor contention, small
     // enough that a slow experiment cannot strand a long tail behind one
     // worker.
     let chunk = (worklist.len() / (workers * 4)).clamp(1, 32);
 
     let gate = Gate::new();
-    // Apply commands that were queued before the campaign started, so a
-    // pre-sent Stop/Pause takes effect before the first claim.
-    let pre = drain_pre_commands(controller);
-    if pre.stopped {
-        gate.set(GateState::Stopped);
-    } else if pre.paused {
-        gate.set(GateState::Paused);
-    }
+    let stopped = drain_pre_commands(controller, &gate);
     let abort = AtomicBool::new(false);
     let cursor = AtomicUsize::new(0);
-    let store_attached = store.is_some();
-    let (tx, rx) = crossbeam::channel::unbounded::<FinishedExperiment>();
+    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Option<ExperimentRecord>)>();
+    let wants_records = sink.store.is_some();
 
-    let (first_error, outcome) = std::thread::scope(|scope| {
-        let gate = &gate;
-        let abort = &abort;
-        let cursor = &cursor;
-        let worklist = &worklist;
-        let expected = &expected;
-        let pre = &pre;
+    let (locals, first_error, outcome) = std::thread::scope(|scope| {
+        let (gate, abort, cursor) = (&gate, &abort, &cursor);
+        let (worklist, fanout, slots) = (&worklist, &fanout, &slots);
 
         let writer = scope.spawn(move || {
             // Store logging happens here, so journal/store spans are only
             // visible if this thread carries the dispatch too.
             let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-            writer_loop(
-                rx,
-                store,
-                controller,
-                gate,
-                abort,
-                total,
-                expected,
-                log_reference,
-                campaign,
-                reference,
-                pre,
-            )
+            writer_loop(rx, sink, controller, gate, abort, stopped)
         });
 
-        let mut handles = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let tx = tx.clone();
-            handles.push(scope.spawn(move || -> Result<Vec<(usize, ExperimentRun)>> {
-                let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-                let mut gauges = WorkerTelemetry {
-                    worker: w,
-                    ..WorkerTelemetry::default()
-                };
-                let mut chunks_claimed = 0u64;
-                let mut target = factory();
-                let mut local: Vec<(usize, ExperimentRun)> = Vec::new();
-                'claims: loop {
-                    let idle_t0 = telemetry.map(|_| Instant::now());
-                    if abort.load(Ordering::Relaxed) || !gate.admit() {
-                        break;
-                    }
-                    let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                    if let Some(t0) = idle_t0 {
-                        gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
-                    }
-                    if start >= worklist.len() {
-                        break;
-                    }
-                    chunks_claimed += 1;
-                    let end = (start + chunk).min(worklist.len());
-                    for &i in &worklist[start..end] {
+        let mut first = Some(first);
+        let handles: Vec<_> = (0..workers)
+            .map(|w| {
+                let tx = tx.clone();
+                let first = first.take();
+                scope.spawn(move || -> Result<Vec<(usize, ExperimentRun)>> {
+                    let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
+                    let mut gauges = WorkerTelemetry {
+                        worker: w,
+                        ..WorkerTelemetry::default()
+                    };
+                    let mut owned;
+                    let target: &mut dyn TargetSystemInterface = match first {
+                        Some(target) => target,
+                        None => {
+                            owned = factory();
+                            owned.as_mut()
+                        }
+                    };
+                    let record = |i: usize, run: &ExperimentRun| {
+                        wants_records.then(|| plan.record(campaign, i, run))
+                    };
+                    let mut chunks_claimed = 0u64;
+                    let mut local: Vec<(usize, ExperimentRun)> = Vec::new();
+                    'claims: loop {
                         let idle_t0 = telemetry.map(|_| Instant::now());
                         if abort.load(Ordering::Relaxed) || !gate.admit() {
-                            break 'claims;
+                            break;
                         }
+                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
                         if let Some(t0) = idle_t0 {
                             gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
                         }
-                        let busy_t0 = telemetry.map(|_| Instant::now());
-                        let result = {
-                            let _s = tracing::span(names::PHASE_EXPERIMENT);
-                            match plan {
-                                // Warm start: rewind to the nearest checkpoint
-                                // preceding the fault's first activation.
-                                Some(plan) => run_experiment_checkpointed(
-                                    target.as_mut(),
-                                    campaign,
-                                    &faults[i],
-                                    plan,
-                                ),
-                                None => run_experiment(target.as_mut(), campaign, &faults[i]),
-                            }
-                        };
-                        if let Some(t0) = busy_t0 {
-                            gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
+                        if start >= worklist.len() {
+                            break;
                         }
-                        match result {
-                            Ok(run) => {
-                                gauges.claimed += 1;
-                                let record = store_attached.then(|| {
-                                    record_of(campaign, experiment_name(&campaign.name, i), &run)
-                                });
-                                let _ = tx.send(FinishedExperiment {
-                                    index: i,
-                                    pruned: false,
-                                    record,
-                                });
-                                // Fan the verdict out to this experiment's
-                                // equivalence-class members, after the
-                                // representative's own message (FIFO order
-                                // is what makes stop/resume sound).
-                                if let Some(members) = class_plan.and_then(|p| p.fanout.get(&i)) {
-                                    for &m in members {
-                                        if !expected[m] {
-                                            continue; // stored row (resume)
-                                        }
-                                        tracing::value(names::COUNTER_FANNED, 1);
-                                        let fan = fanned_run(&run, &faults[m]);
-                                        let record = store_attached.then(|| {
-                                            record_of(
-                                                campaign,
-                                                experiment_name(&campaign.name, m),
-                                                &fan,
-                                            )
-                                        });
-                                        let _ = tx.send(FinishedExperiment {
-                                            index: m,
-                                            pruned: false,
-                                            record,
-                                        });
-                                        local.push((m, fan));
+                        chunks_claimed += 1;
+                        let end = (start + chunk).min(worklist.len());
+                        for &i in &worklist[start..end] {
+                            let idle_t0 = telemetry.map(|_| Instant::now());
+                            if abort.load(Ordering::Relaxed) || !gate.admit() {
+                                break 'claims;
+                            }
+                            if let Some(t0) = idle_t0 {
+                                gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
+                            }
+                            let run = match decisions[i] {
+                                Decision::Proxied(rep) => fanned_run(
+                                    slots[rep].as_ref().expect("stored representative"),
+                                    &plan.faults[i],
+                                ),
+                                _ => match produce(
+                                    plan,
+                                    target,
+                                    campaign,
+                                    i,
+                                    &mut gauges,
+                                    telemetry.is_some(),
+                                ) {
+                                    Ok(run) => run,
+                                    Err(e) => {
+                                        abort.store(true, Ordering::Relaxed);
+                                        return Err(e);
                                     }
-                                }
-                                local.push((i, run));
+                                },
+                            };
+                            let _ = tx.send((i, record(i, &run)));
+                            for &m in fanout.get(&i).into_iter().flatten() {
+                                let fan = fanned_run(&run, &plan.faults[m]);
+                                let _ = tx.send((m, record(m, &fan)));
+                                local.push((m, fan));
                             }
-                            Err(e) => {
-                                abort.store(true, Ordering::Relaxed);
-                                return Err(e);
-                            }
+                            local.push((i, run));
                         }
                     }
-                }
-                if let Some(t) = telemetry {
-                    gauges.steals = chunks_claimed.saturating_sub(1);
-                    t.recorder.record_worker(gauges);
-                }
-                Ok(local)
-            }));
-        }
+                    if let Some(t) = telemetry {
+                        gauges.steals = chunks_claimed.saturating_sub(1);
+                        t.recorder.record_worker(gauges);
+                    }
+                    Ok(local)
+                })
+            })
+            .collect();
+        drop(tx); // the writer exits once every worker is gone
 
-        // The pruning pre-pass runs on this thread, concurrently with the
-        // workers: prunable outcomes are reference clones, not target
-        // executions. A stop queued before the start skips it entirely,
-        // matching the sequential runner's zero-run stop. The same pass
-        // fans out class members whose representative row was preloaded
-        // from the store (resume): no worker will execute the
-        // representative again, so their rows are synthesised here.
-        for i in 0..total {
-            if pre.stopped {
-                break;
-            }
-            if !expected[i] {
-                continue;
-            }
-            if prunable[i] {
-                tracing::value(names::COUNTER_PRUNED, 1);
-                let run = pruned_run(reference, &faults[i]);
-                let record = store_attached
-                    .then(|| record_of(campaign, experiment_name(&campaign.name, i), &run));
-                let _ = tx.send(FinishedExperiment {
-                    index: i,
-                    pruned: true,
-                    record,
-                });
-                slots[i] = Some(run);
-            } else if predicted[i] {
-                tracing::value(names::COUNTER_PREDICTED, 1);
-                let run = predicted_run(reference, &faults[i]);
-                let record = store_attached
-                    .then(|| record_of(campaign, experiment_name(&campaign.name, i), &run));
-                let _ = tx.send(FinishedExperiment {
-                    index: i,
-                    pruned: false,
-                    record,
-                });
-                slots[i] = Some(run);
-            } else if let Some(rep) = proxied(class_plan, i) {
-                if let Some(rep_run) = &slots[rep] {
-                    tracing::value(names::COUNTER_FANNED, 1);
-                    let run = fanned_run(rep_run, &faults[i]);
-                    let record = store_attached
-                        .then(|| record_of(campaign, experiment_name(&campaign.name, i), &run));
-                    let _ = tx.send(FinishedExperiment {
-                        index: i,
-                        pruned: false,
-                        record,
-                    });
-                    slots[i] = Some(run);
-                }
-            }
-        }
-        drop(tx); // the writer exits once every producer is gone
-
+        let mut locals = Vec::with_capacity(workers);
         let mut first_error: Option<GoofiError> = None;
         for handle in handles {
             match handle.join() {
-                Ok(Ok(local)) => {
-                    for (i, run) in local {
-                        slots[i] = Some(run);
-                    }
-                }
+                Ok(Ok(local)) => locals.push(local),
                 Ok(Err(e)) => {
-                    if first_error.is_none() {
-                        first_error = Some(e);
-                    }
+                    first_error.get_or_insert(e);
                 }
                 Err(panic) => std::panic::resume_unwind(panic),
             }
@@ -1803,17 +1414,17 @@ fn parallel_engine(
             Ok(outcome) => outcome,
             Err(panic) => std::panic::resume_unwind(panic),
         };
-        (first_error, outcome)
+        (locals, first_error, outcome)
     });
 
     if let Some(e) = first_error {
         return Err(e);
     }
-    if let Some(e) = outcome.error {
-        return Err(e);
+    let stopped = outcome?;
+    for (i, run) in locals.into_iter().flatten() {
+        slots[i] = Some(run);
     }
-
-    let runs: Vec<ExperimentRun> = if outcome.stopped {
+    let runs = if stopped {
         // Completed subset, in fault-list order (gaps where the stop hit).
         slots.into_iter().flatten().collect()
     } else {
@@ -1822,306 +1433,7 @@ fn parallel_engine(
             .map(|s| s.ok_or_else(|| GoofiError::Protocol("missing experiment result".into())))
             .collect::<Result<_>>()?
     };
-    if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Finished {
-            completed: runs.len(),
-            stopped: outcome.stopped,
-        });
-    }
-    Ok((runs, outcome.stopped))
-}
-
-/// The work-stealing parallel path: workers claim chunks of experiment
-/// indices off a shared atomic cursor, so a slow experiment never stalls
-/// work that a round-robin stripe would have pinned behind it, and
-/// pre-injection pruning is resolved in a pre-pass so only real
-/// experiments are claimed. Results are identical to the sequential path
-/// (targets are deterministic simulators): same runs, same stats, and —
-/// when `store` is given — the same rows in the same order, streamed by a
-/// dedicated writer thread as experiments finish.
-#[allow(clippy::too_many_arguments)]
-fn parallel_run(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: Option<&mut GoofiStore>,
-    controller: Option<&Controller>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    // Prepare on a scratch target, which then doubles as the checkpoint
-    // pilot: one execution serves every worker's restores.
-    let mut scratch = factory();
-    let (faults, prune, class_analysis) = prepare(scratch.as_mut(), campaign, options)?;
-    let config = scratch.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(scratch.as_mut(), campaign)
-    }?;
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = (0..faults.len())
-            .map(|i| skip[i] || proxied(class_plan.as_ref(), i).is_some())
-            .collect();
-        CheckpointPlan::build(scratch.as_mut(), campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-    drop(scratch);
-
-    let slots = vec![None; faults.len()];
-    let (runs, _stopped) = parallel_engine(
-        factory,
-        campaign,
-        workers,
-        store,
-        controller,
-        &faults,
-        &prunable,
-        &predicted,
-        plan.as_ref(),
-        class_plan.as_ref(),
-        &reference,
-        true,
-        slots,
-        telemetry,
-    )?;
-
-    let stats = classify(&reference, &runs);
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
-}
-
-/// The parallel resume path: rows already in the store are reused (no
-/// progress events, no re-logging), and only the missing experiments are
-/// scheduled across the worker pool. Together with the streamed logging
-/// this makes stop/resume a first-class parallel workflow.
-#[allow(clippy::too_many_arguments)]
-fn parallel_resume(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: &mut GoofiStore,
-    controller: Option<&Controller>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    let mut scratch = factory();
-    let (faults, prune, class_analysis) = prepare(scratch.as_mut(), campaign, options)?;
-    let config = scratch.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let skip: Vec<bool> = prunable
-        .iter()
-        .zip(&predicted)
-        .map(|(&a, &b)| a || b)
-        .collect();
-    let (class_plan, static_analysis) =
-        resolve_classes(campaign, &config, &faults, &skip, prune, class_analysis);
-    let ref_name = reference_experiment_name(&campaign.name);
-    let (reference, log_reference) = match store.get_experiment(&ref_name) {
-        Ok(record) => (record.to_run(), false),
-        Err(_) => {
-            let reference = {
-                let _s = tracing::span(names::PHASE_REFERENCE);
-                reference_run(scratch.as_mut(), campaign)
-            }?;
-            (reference, true)
-        }
-    };
-
-    let slots: Vec<Option<ExperimentRun>> = (0..faults.len())
-        .map(|i| {
-            store
-                .get_experiment(&experiment_name(&campaign.name, i))
-                .ok()
-                .map(|record| record.to_run())
-        })
-        .collect();
-
-    // Checkpoint only the experiments this resume will actually run.
-    let plan = if options.checkpoint {
-        let unexecuted: Vec<bool> = skip
-            .iter()
-            .zip(&slots)
-            .enumerate()
-            .map(|(i, (&skipped, slot))| {
-                skipped || slot.is_some() || proxied(class_plan.as_ref(), i).is_some()
-            })
-            .collect();
-        CheckpointPlan::build(scratch.as_mut(), campaign, &faults, &unexecuted)
-    } else {
-        None
-    };
-    drop(scratch);
-
-    let (runs, _stopped) = parallel_engine(
-        factory,
-        campaign,
-        workers,
-        Some(store),
-        controller,
-        &faults,
-        &prunable,
-        &predicted,
-        plan.as_ref(),
-        class_plan.as_ref(),
-        &reference,
-        log_reference,
-        slots,
-        telemetry,
-    )?;
-
-    let stats = classify(&reference, &runs);
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
-}
-
-/// The previous statically-scheduled parallel path, kept as the E8
-/// baseline: experiments are sharded round-robin (`i % workers`), every
-/// result goes through one shared mutex, and — when `store` is given —
-/// rows are logged only after the whole campaign. Use the work-stealing
-/// scheduler for real work; this exists so the static-vs-dynamic
-/// scheduling gap stays measurable across PRs.
-fn static_run(
-    factory: &(dyn Fn() -> Box<dyn TargetSystemInterface> + Sync),
-    campaign: &Campaign,
-    workers: usize,
-    store: Option<&mut GoofiStore>,
-    options: &RunOptions,
-    telemetry: Option<&Telemetry>,
-) -> Result<CampaignResult> {
-    // Prepare on a scratch target. Class execution is a work-stealing
-    // feature: the baseline scheduler executes every experiment directly.
-    let mut scratch = factory();
-    let (faults, prune, _class_analysis) = prepare(scratch.as_mut(), campaign, options)?;
-    let config = scratch.describe();
-    let prunable = compute_prunable(&faults, &prune, &config);
-    let predicted = compute_predicted(&faults, &prunable, &prune, campaign, &config, options);
-    let reference = {
-        let _s = tracing::span(names::PHASE_REFERENCE);
-        reference_run(scratch.as_mut(), campaign)
-    }?;
-    drop(scratch);
-
-    let mut slots: Vec<Option<ExperimentRun>> = vec![None; faults.len()];
-    let errors: std::sync::Mutex<Vec<GoofiError>> = std::sync::Mutex::new(Vec::new());
-    let results: std::sync::Mutex<Vec<(usize, ExperimentRun)>> = std::sync::Mutex::new(Vec::new());
-
-    std::thread::scope(|scope| {
-        for w in 0..workers {
-            let faults = &faults;
-            let prunable = &prunable;
-            let predicted = &predicted;
-            let reference = &reference;
-            let errors = &errors;
-            let results = &results;
-            scope.spawn(move || {
-                let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-                let mut gauges = WorkerTelemetry {
-                    worker: w,
-                    ..WorkerTelemetry::default()
-                };
-                let mut target = factory();
-                for (i, fault) in faults.iter().enumerate() {
-                    if i % workers != w {
-                        continue;
-                    }
-                    if !errors.lock().expect("no poisoned lock").is_empty() {
-                        break;
-                    }
-                    let run = if prunable[i] {
-                        tracing::value(names::COUNTER_PRUNED, 1);
-                        Ok(pruned_run(reference, fault))
-                    } else if predicted[i] {
-                        tracing::value(names::COUNTER_PREDICTED, 1);
-                        Ok(predicted_run(reference, fault))
-                    } else {
-                        let busy_t0 = telemetry.map(|_| Instant::now());
-                        let run = {
-                            let _s = tracing::span(names::PHASE_EXPERIMENT);
-                            run_experiment(target.as_mut(), campaign, fault)
-                        };
-                        if let Some(t0) = busy_t0 {
-                            gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-                        }
-                        if run.is_ok() {
-                            gauges.claimed += 1;
-                        }
-                        run
-                    };
-                    match run {
-                        Ok(run) => results.lock().expect("no poisoned lock").push((i, run)),
-                        Err(e) => {
-                            errors.lock().expect("no poisoned lock").push(e);
-                            break;
-                        }
-                    }
-                }
-                if let Some(t) = telemetry {
-                    t.recorder.record_worker(gauges);
-                }
-            });
-        }
-    });
-
-    let static_analysis = prune.into_static();
-    let mut errors = errors.into_inner().expect("no poisoned lock");
-    if let Some(e) = errors.pop() {
-        return Err(e);
-    }
-    for (i, run) in results.into_inner().expect("no poisoned lock") {
-        slots[i] = Some(run);
-    }
-    let runs: Vec<ExperimentRun> = slots
-        .into_iter()
-        .map(|s| s.ok_or_else(|| GoofiError::Protocol("missing experiment result".into())))
-        .collect::<Result<_>>()?;
-
-    if let Some(store) = store {
-        store.log_experiment(&record_of(
-            campaign,
-            reference_experiment_name(&campaign.name),
-            &reference,
-        ))?;
-        for (i, run) in runs.iter().enumerate() {
-            store.log_experiment(&record_of(
-                campaign,
-                experiment_name(&campaign.name, i),
-                run,
-            ))?;
-        }
-    }
-
-    let stats = classify(&reference, &runs);
-    Ok(CampaignResult {
-        campaign: campaign.clone(),
-        reference,
-        runs,
-        stats,
-        telemetry: None,
-        static_analysis,
-    })
+    Ok((runs, stopped))
 }
 
 #[cfg(test)]
@@ -2130,7 +1442,7 @@ mod tests {
     use crate::campaign::Technique;
     use crate::fault::{FaultModel, LocationSelector};
     use crate::progress::{control_channel, Command};
-    use crate::testutil::MiniTarget;
+    use crate::testutil::{Hold, MiniTarget};
 
     fn campaign(n: usize, window: (u64, u64)) -> Campaign {
         Campaign::builder("mini-c", "mini", "w")
@@ -2289,20 +1601,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn static_parallel_runner_matches_sequential() {
-        let c = campaign(24, (0, 19));
-        let mut t = MiniTarget::new();
-        let seq = CampaignRunner::new(&mut t, &c).run().unwrap();
-        let par = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(4)
-            .options(RunOptions::new().scheduler(Scheduler::Static))
-            .run()
-            .unwrap();
-        assert_eq!(seq.stats, par.stats);
-        assert_eq!(seq.runs.len(), par.runs.len());
-    }
-
     fn store_for(c: &Campaign) -> GoofiStore {
         let mut store = GoofiStore::new();
         store.put_target(&MiniTarget::new().describe()).unwrap();
@@ -2438,49 +1736,98 @@ mod tests {
         // Stop from a live operator thread once a few experiments are
         // done. Timing decides how many complete, but never the outcome:
         // everything logged before the stop survives, and resume fills in
-        // exactly the gaps.
+        // exactly the gaps. A hold keeps the campaign from finishing
+        // before the operator has sent the stop.
         let c = campaign(60, (0, 19));
+        let mut clean_store = store_for(&c);
         let mut t = MiniTarget::new();
-        let full = CampaignRunner::new(&mut t, &c).run().unwrap();
+        let full = CampaignRunner::new(&mut t, &c)
+            .store(&mut clean_store)
+            .run()
+            .unwrap();
+        let dir = std::env::temp_dir().join(format!("goofi-runner-stop-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let clean_path = dir.join("clean.json");
+        clean_store.save(&clean_path).unwrap();
 
-        let mut store = store_for(&c);
-        let (ctl, handle) = control_channel();
-        let operator = std::thread::spawn(move || {
-            let mut seen = 0;
-            while let Some(ev) = handle.next() {
-                if matches!(ev, ProgressEvent::ExperimentDone { .. }) {
-                    seen += 1;
-                    if seen == 5 {
-                        handle.send(Command::Stop);
+        for workers in [1usize, 4] {
+            let mut store = store_for(&c);
+            let (ctl, handle) = control_channel();
+            let hold = Hold::new(20);
+            let held = {
+                let hold = hold.clone();
+                move || Box::new(MiniTarget::held(hold.clone())) as Box<dyn TargetSystemInterface>
+            };
+            let operator = std::thread::spawn(move || {
+                let mut seen = 0;
+                while let Some(ev) = handle.next() {
+                    if matches!(ev, ProgressEvent::ExperimentDone { .. }) {
+                        seen += 1;
+                        if seen == 5 {
+                            handle.send(Command::Stop);
+                            hold.release();
+                        }
+                    }
+                    if matches!(ev, ProgressEvent::Finished { .. }) {
+                        break;
                     }
                 }
-                if matches!(ev, ProgressEvent::Finished { .. }) {
-                    break;
-                }
-            }
-        });
-        let stopped = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(4)
-            .store(&mut store)
-            .observer(&ctl)
-            .run()
-            .unwrap();
-        drop(ctl);
-        operator.join().unwrap();
-        // Logged rows = completed runs + reference, whatever the timing.
-        assert_eq!(
-            store.experiments_of(&c.name).unwrap().len(),
-            stopped.runs.len() + 1
-        );
+            });
+            let stopped = CampaignRunner::from_factory(held, &c)
+                .workers(workers)
+                .store(&mut store)
+                .observer(&ctl)
+                .run()
+                .unwrap();
+            drop(ctl);
+            operator.join().unwrap();
+            // Logged rows = completed runs + reference, whatever the timing.
+            let logged = store.experiments_of(&c.name).unwrap();
+            assert_eq!(logged.len(), stopped.runs.len() + 1);
 
-        let resumed = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(4)
-            .resume_from(&mut store)
-            .run()
-            .unwrap();
-        assert_eq!(resumed.runs.len(), 60);
-        assert_eq!(resumed.stats, full.stats);
-        assert_eq!(store.experiments_of(&c.name).unwrap().len(), 61);
+            if workers == 1 {
+                // One worker stops on an experiment boundary: the result
+                // and the store hold a fault-list prefix.
+                let k = stopped.runs.len();
+                assert!(k < 60, "the stop must cut the campaign short");
+                assert_eq!(
+                    stopped.runs[..],
+                    full.runs[..k],
+                    "stopped runs are a prefix"
+                );
+                let clean_rows = clean_store.experiments_of(&c.name).unwrap();
+                let expected: Vec<_> = clean_rows
+                    .iter()
+                    .filter(|r| {
+                        r.name == reference_experiment_name(&c.name)
+                            || (0..k).any(|i| r.name == logged_experiment_name(&c.name, i))
+                    })
+                    .cloned()
+                    .collect();
+                assert_eq!(logged, expected, "stored rows are a prefix");
+            }
+
+            let resumed = CampaignRunner::from_factory(mini_factory, &c)
+                .workers(workers)
+                .resume_from(&mut store)
+                .run()
+                .unwrap();
+            assert_eq!(resumed.runs.len(), 60);
+            assert_eq!(resumed.stats, full.stats);
+            assert_eq!(store.experiments_of(&c.name).unwrap().len(), 61);
+
+            if workers == 1 {
+                // Prefix + resumed suffix = the clean run, byte for byte.
+                let path = dir.join("resumed.json");
+                store.save(&path).unwrap();
+                assert_eq!(
+                    std::fs::read(&path).unwrap(),
+                    std::fs::read(&clean_path).unwrap(),
+                    "stop + resume at one worker differs from a clean run"
+                );
+            }
+        }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -2530,7 +1877,7 @@ mod tests {
             .unwrap();
         for (i, run) in full.runs.iter().take(10).enumerate() {
             store
-                .log_experiment(&record_of(&c, experiment_name(&c.name, i), run))
+                .log_experiment(&record_of(&c, logged_experiment_name(&c.name, i), run))
                 .unwrap();
         }
 
@@ -2591,29 +1938,6 @@ mod tests {
             }
             other => panic!("expected Campaign error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn static_scheduler_rejects_observer_and_resume() {
-        let c = campaign(4, (0, 19));
-        let opts = RunOptions::new().scheduler(Scheduler::Static);
-        let (ctl, _handle) = control_channel();
-        let err = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(2)
-            .options(opts)
-            .observer(&ctl)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, GoofiError::Campaign(_)), "got {err:?}");
-
-        let mut store = store_for(&c);
-        let err = CampaignRunner::from_factory(mini_factory, &c)
-            .workers(2)
-            .options(opts)
-            .resume_from(&mut store)
-            .run()
-            .unwrap_err();
-        assert!(matches!(err, GoofiError::Campaign(_)), "got {err:?}");
     }
 
     // ------------------------------------------------------------------

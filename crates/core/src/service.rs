@@ -45,8 +45,7 @@ pub type JobId = String;
 /// can ship over the wire protocol unchanged.
 ///
 /// `workers` means threads for [`LocalService`] and worker *processes*
-/// for the server. The scheduler knob is deliberately absent: the static
-/// scheduler is an E8 ablation baseline, not a service mode.
+/// for the server.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecOptions {

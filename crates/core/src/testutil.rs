@@ -5,6 +5,44 @@ use crate::error::Result;
 use crate::target::{
     ChainInfo, FieldInfo, TargetEvent, TargetSystemConfig, TargetSystemInterface, TraceStep,
 };
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
+
+/// Holds workload runs back so a test can act mid-campaign: the first
+/// `free` runs across every target sharing the hold pass, later ones
+/// block until [`Hold::release`].
+pub(crate) struct Hold {
+    free: usize,
+    runs: AtomicUsize,
+    released: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Hold {
+    pub(crate) fn new(free: usize) -> Arc<Hold> {
+        Arc::new(Hold {
+            free,
+            runs: AtomicUsize::new(0),
+            released: Mutex::new(false),
+            cv: Condvar::new(),
+        })
+    }
+
+    pub(crate) fn release(&self) {
+        *self.released.lock().expect("hold lock not poisoned") = true;
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) {
+        if self.runs.fetch_add(1, Ordering::SeqCst) < self.free {
+            return;
+        }
+        let mut released = self.released.lock().expect("hold lock not poisoned");
+        while !*released {
+            released = self.cv.wait(released).expect("hold lock not poisoned");
+        }
+    }
+}
 
 /// A miniature deterministic target: one 8-bit "R0" register chain; the
 /// workload reads R0 at t=5 into its output, overwrites R0 at t=10 and
@@ -14,6 +52,7 @@ pub(crate) struct MiniTarget {
     out: u8,
     now: u64,
     armed: Option<u64>,
+    hold: Option<Arc<Hold>>,
 }
 
 impl MiniTarget {
@@ -23,6 +62,15 @@ impl MiniTarget {
             out: 0,
             now: 0,
             armed: None,
+            hold: None,
+        }
+    }
+
+    /// A target whose workload runs go through `hold`.
+    pub(crate) fn held(hold: Arc<Hold>) -> Self {
+        MiniTarget {
+            hold: Some(hold),
+            ..MiniTarget::new()
         }
     }
 
@@ -66,7 +114,10 @@ impl TargetSystemInterface for MiniTarget {
     }
 
     fn init_test_card(&mut self) -> Result<()> {
-        *self = MiniTarget::new();
+        *self = MiniTarget {
+            hold: self.hold.take(),
+            ..MiniTarget::new()
+        };
         Ok(())
     }
 
@@ -76,6 +127,9 @@ impl TargetSystemInterface for MiniTarget {
     }
 
     fn run_workload(&mut self) -> Result<()> {
+        if let Some(hold) = &self.hold {
+            hold.wait();
+        }
         Ok(())
     }
 

@@ -526,10 +526,7 @@ fn run_process_job(
                 for row in rows {
                     buffer.insert(row.index, row);
                 }
-                let prunable = plan
-                    .as_ref()
-                    .map(|p| p.prunable.clone())
-                    .unwrap_or_default();
+                let prunable = plan.as_ref().map_or(&[][..], |p| &p.prunable[..]);
                 while next_pos < worklist.len() {
                     let Some(row) = buffer.remove(&worklist[next_pos]) else {
                         break;

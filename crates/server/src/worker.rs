@@ -7,7 +7,9 @@
 //! index chunks the daemon hands it. Stdout belongs to the protocol —
 //! anything human-readable goes to stderr.
 
-use goofi_core::{plan_campaign, Campaign, CampaignPlan, ExecOptions, TargetSystemInterface};
+use goofi_core::{
+    plan_campaign, Campaign, CampaignPlan, Decision, ExecOptions, TargetSystemInterface,
+};
 use goofi_net::{
     read_frame, write_frame, IndexedRecord, NetError, NetResult, WorkerRequest, WorkerResponse,
 };
@@ -32,8 +34,16 @@ impl WorkerState {
             pid: std::process::id(),
             experiments: plan.len(),
             reference: Box::new(plan.reference_record(&campaign)),
-            prunable: plan.prunable.clone(),
-            predicted: plan.predicted.clone(),
+            prunable: plan
+                .decisions
+                .iter()
+                .map(|&d| d == Decision::Pruned)
+                .collect(),
+            predicted: plan
+                .decisions
+                .iter()
+                .map(|&d| d == Decision::Predicted)
+                .collect(),
             static_analysis: plan.static_analysis.clone().map(Box::new),
         };
         Ok((

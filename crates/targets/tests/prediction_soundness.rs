@@ -13,8 +13,8 @@
 //! [`RunOptions::prediction`]: goofi_core::RunOptions
 
 use goofi_core::{
-    plan_campaign, run_experiment, Campaign, FaultModel, LocationSelector, Pruning, RunOptions,
-    TargetSystemInterface, Technique,
+    plan_campaign, run_experiment, Campaign, Decision, FaultModel, LocationSelector, Pruning,
+    RunOptions, TargetSystemInterface, Technique,
 };
 use goofi_stackvm::Op;
 use goofi_targets::{StackProgram, StackVmTarget, ThorTarget};
@@ -68,12 +68,10 @@ fn assert_synthesised_rows_match_execution(
     let mut pruned = 0;
     let mut predicted = 0;
     for i in 0..plan.len() {
-        if plan.prunable[i] {
-            pruned += 1;
-        } else if plan.predicted[i] {
-            predicted += 1;
-        } else {
-            continue;
+        match plan.decisions[i] {
+            Decision::Pruned => pruned += 1,
+            Decision::Predicted => predicted += 1,
+            _ => continue,
         }
         let synthesised = plan
             .execute(target, &campaign, i)
@@ -84,10 +82,9 @@ fn assert_synthesised_rows_match_execution(
             plan.record(&campaign, i, &synthesised),
             plan.record(&campaign, i, &real),
             "synthesised row diverged from real execution for fault {:?} \
-             (prunable={}, predicted={})",
+             ({:?})",
             plan.faults[i],
-            plan.prunable[i],
-            plan.predicted[i],
+            plan.decisions[i],
         );
     }
     (pruned, predicted)
@@ -195,13 +192,17 @@ fn thor_sort_campaign_exercises_real_predictions() {
         .prediction(true)
         .checkpoint(false);
     let plan = plan_campaign(&mut target, &campaign, &options).unwrap();
-    let predicted = plan.predicted.iter().filter(|&&p| p).count();
+    let predicted = plan
+        .decisions
+        .iter()
+        .filter(|&&d| d == Decision::Predicted)
+        .count();
     assert!(
         predicted > 0,
         "no fault ever hit a washout-beyond-dead window"
     );
     for i in 0..plan.len() {
-        if !plan.prunable[i] && !plan.predicted[i] {
+        if !matches!(plan.decisions[i], Decision::Pruned | Decision::Predicted) {
             continue;
         }
         let synthesised = plan.execute(&mut target, &campaign, i).unwrap();

@@ -18,7 +18,7 @@ lint:
 # Everything CI runs, in CI's order.
 ci: build test lint
 
-# E8 orchestration ablation; refreshes BENCH_e8.json at the repo root.
+# E8 runner scaling; refreshes BENCH_e8.json at the repo root.
 bench-e8:
     cargo bench -p goofi-bench --bench e8_runner_scaling
 

@@ -126,24 +126,27 @@ fn class_execution_resume_matches_uninterrupted_run() {
     let full_rows = full_store.experiments_of("cls-resume").unwrap();
 
     // Seed a partial store with the first 20 rows (reference + 19
-    // experiments) of the full run, as a stopped campaign would leave.
-    let mut store = seeded_store(&c);
-    for record in full_rows.iter().take(20) {
-        store.log_experiment(record).unwrap();
+    // experiments) of the full run, as a stopped campaign would leave,
+    // then resume inline (one worker) and on the pool (two workers).
+    for workers in [1usize, 2] {
+        let mut store = seeded_store(&c);
+        for record in full_rows.iter().take(20) {
+            store.log_experiment(record).unwrap();
+        }
+        let resumed = CampaignRunner::from_factory(factory, &c)
+            .workers(workers)
+            .options(RunOptions::new().class_execution(true))
+            .resume_from(&mut store)
+            .run()
+            .unwrap();
+        assert_eq!(resumed.runs.len(), 60);
+        store.clear_static_analysis("cls-resume").unwrap();
+        assert_eq!(
+            store.experiments_of("cls-resume").unwrap(),
+            full_rows,
+            "resumed class-executing store differs from an uninterrupted run at {workers} worker(s)"
+        );
+        let stats = analyze_campaign(&store, "cls-resume").unwrap();
+        assert_eq!(stats, resumed.stats);
     }
-    let resumed = CampaignRunner::from_factory(factory, &c)
-        .workers(2)
-        .options(RunOptions::new().class_execution(true))
-        .resume_from(&mut store)
-        .run()
-        .unwrap();
-    assert_eq!(resumed.runs.len(), 60);
-    store.clear_static_analysis("cls-resume").unwrap();
-    assert_eq!(
-        store.experiments_of("cls-resume").unwrap(),
-        full_rows,
-        "resumed class-executing store differs from an uninterrupted run"
-    );
-    let stats = analyze_campaign(&store, "cls-resume").unwrap();
-    assert_eq!(stats, resumed.stats);
 }

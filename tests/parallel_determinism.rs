@@ -6,8 +6,8 @@
 
 use goofi_repro::core::{
     analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, Command,
-    FaultModel, GoofiStore, LocationSelector, ProgressEvent, RunOptions, Scheduler,
-    TargetSystemInterface, Technique,
+    FaultModel, GoofiStore, LocationSelector, ProgressEvent, RunOptions, TargetSystemInterface,
+    Technique,
 };
 use goofi_repro::targets::ThorTarget;
 use goofi_repro::workloads::sort_workload;
@@ -89,19 +89,6 @@ fn any_worker_count_is_byte_identical_to_sequential() {
         std::fs::remove_file(&path).ok();
     }
 
-    // The old static scheduler must agree too — E8 compares wall time only.
-    let mut store = seeded_store(&c);
-    let stat = CampaignRunner::from_factory(factory, &c)
-        .workers(4)
-        .options(RunOptions::new().scheduler(Scheduler::Static))
-        .store(&mut store)
-        .run()
-        .unwrap();
-    assert_same_runs(&seq, &stat);
-    let path = tmp("static4.json");
-    store.save(&path).unwrap();
-    assert_eq!(std::fs::read(&path).unwrap(), seq_bytes);
-    std::fs::remove_file(&path).ok();
     std::fs::remove_file(&seq_path).ok();
 }
 
