@@ -20,7 +20,6 @@ pub struct ParsedArgs {
 const FLAG_NAMES: &[&str] = &[
     "detail",
     "preinject",
-    "parallel",
     "no-checkpoint",
     "class-exec",
     "predict",

@@ -56,7 +56,7 @@ USAGE:
                   [--telemetry off|metrics|trace] [--pruning off|trace|static]
                   [--class-exec] [--predict]
   goofi serve     --db FILE [--addr HOST:PORT] [--workers N] [--chunk N]
-  goofi submit    --addr HOST:PORT --campaign NAME [--workers N] [--resume]
+  goofi submit    --addr HOST:PORT --campaign NAME [--resume]
                   [--no-checkpoint] [--telemetry off|metrics|trace]
                   [--pruning off|trace|static] [--class-exec] [--predict]
                   [--watch]
@@ -447,6 +447,12 @@ fn remote(p: &ParsedArgs) -> Result<RemoteService, String> {
 /// Submits a campaign to a running server; `--watch` stays attached and
 /// renders the run exactly like a local `goofi run`.
 fn cmd_submit(p: &ParsedArgs) -> Result<String, String> {
+    if p.get("workers").is_some() {
+        return Err(
+            "goofi submit takes no --workers: the server sizes its worker pool with `goofi serve --workers N`"
+                .to_owned(),
+        );
+    }
     let name = p.require("campaign")?;
     let mut svc = remote(p)?;
     let spec = JobSpec::new(CampaignRef::Name(name.to_owned()))

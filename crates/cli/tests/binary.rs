@@ -65,6 +65,23 @@ fn workers_non_numeric_is_rejected_with_clear_error() {
 }
 
 #[test]
+fn submit_rejects_workers_naming_the_server_option() {
+    // The daemon sizes its worker pool at `goofi serve`; the flag is
+    // refused before any connection is attempted.
+    let (ok, _, stderr) = goofi(&[
+        "submit",
+        "--addr",
+        "127.0.0.1:1",
+        "--campaign",
+        "c",
+        "--workers",
+        "4",
+    ]);
+    assert!(!ok);
+    assert!(stderr.contains("goofi serve --workers"), "{stderr}");
+}
+
+#[test]
 fn bad_telemetry_mode_is_rejected() {
     let db = tmpdb("bin-tm.json");
     let (ok, _, stderr) = goofi(&["run", "--db", &db, "--campaign", "c", "--telemetry", "loud"]);

@@ -196,14 +196,20 @@ impl CampaignStats {
     ) -> CampaignStats {
         let mut stats = CampaignStats::default();
         for run in runs {
-            if run.pruned {
-                stats.pruned += 1;
-                stats.overwritten += 1;
-                continue;
-            }
-            stats.add(classify(reference, run));
+            stats.add_run(reference, run);
         }
         stats
+    }
+
+    /// Classifies one run against the reference and adds it. A pruned
+    /// run counts as pruned and overwritten without classification.
+    pub fn add_run(&mut self, reference: &ExperimentRun, run: &ExperimentRun) {
+        if run.pruned {
+            self.pruned += 1;
+            self.overwritten += 1;
+        } else {
+            self.add(classify(reference, run));
+        }
     }
 
     /// Adds one classified outcome.

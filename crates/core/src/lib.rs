@@ -83,13 +83,13 @@ pub use preinject::{FirstUse, LivenessAnalysis};
 pub use progress::{control_channel, Command, ControlHandle, Controller, ProgressEvent};
 pub use propagation::{analyze_propagation, PropagationReport, PropagationStep};
 pub use runner::{
-    logged_experiment_name, plan_campaign, CampaignPlan, CampaignResult, CampaignRunner, Decision,
-    RunOptions,
+    logged_experiment_name, plan_campaign, CampaignPlan, CampaignResult, CampaignRunner,
+    ChunkExecutor, Decision, RunOptions,
 };
 pub use service::{
     drain, CampaignRef, CampaignService, ClassSavings, EventSink, EventStream, ExecOptions,
-    FactoryProvider, JobId, JobRegistry, JobSpec, JobStatus, JobSummary, LocalService, NullSink,
-    ServiceEvent, TargetFactory,
+    FactoryProvider, JobId, JobRegistry, JobSpec, JobStatus, JobSummary, Launcher, LocalService,
+    NullSink, ServiceEvent, TargetFactory,
 };
 pub use staticanalysis::{ClassKind, EquivalenceClass, Lint, LintKind, Pruning, StaticAnalysis};
 pub use store::{reference_experiment_name, ExperimentData, ExperimentRecord, GoofiStore};

@@ -11,15 +11,17 @@
 //!   resume, reloads) the reference run, builds the checkpoint cache, and
 //!   records one [`Decision`] per fault: already logged, pruned,
 //!   predicted, proxied by a class representative, or executed.
-//! * The **executor** walks the decisions and passes every finished row
-//!   to one ordered sink, which logs rows to the store in fault-list order
-//!   and emits progress events. With `workers(1)` (the default) it runs
-//!   on the calling thread, on the planner's target, honouring pause and
-//!   stop through [`Controller::checkpoint`]. With `workers(n)` and
-//!   [`CampaignRunner::from_factory`] it runs the work-stealing pool
-//!   (experiment E8): workers claim chunks of undecided indices off a
-//!   shared atomic cursor, each on its own target, while a writer thread
-//!   owns the sink and services the Fig. 7 controls.
+//! * The **executor** is one loop over chunks of the undecided indices:
+//!   it hands each chunk's [`Decision::Execute`] indices to a
+//!   [`ChunkExecutor`] — a target in this process, or a `goofi worker`
+//!   process in `goofi-server` — produces the other rows itself, and
+//!   passes every row to one ordered sink, which logs rows in fault-list
+//!   order, classifies and counts them, and emits progress events. With
+//!   one in-process worker (the default) it runs on the calling thread,
+//!   honouring pause and stop through [`Controller::checkpoint`].
+//!   Otherwise it runs the work-stealing pool (experiment E8): a driver
+//!   thread per executor claims chunks off a shared atomic cursor, while
+//!   a writer thread owns the sink and services the Fig. 7 controls.
 //!
 //! `resume_from(store)` restarts an interrupted campaign: the planner
 //! marks the rows already stored as logged and only the rest run.
@@ -39,6 +41,7 @@ use crate::error::{GoofiError, Result};
 use crate::fault::{generate_fault_list, PlannedFault, TriggerPolicy};
 use crate::preinject::LivenessAnalysis;
 use crate::progress::{Command, Controller, ProgressEvent};
+use crate::service::{ClassSavings, JobSummary};
 use crate::staticanalysis::{ClassKind, Pruning, StaticAnalysis};
 use crate::store::{reference_experiment_name, ExperimentData, ExperimentRecord, GoofiStore};
 use crate::target::{TargetSystemConfig, TargetSystemInterface};
@@ -217,6 +220,46 @@ enum TargetSource<'a> {
     Factory(Box<Factory<'a>>),
 }
 
+/// Executes chunks of a plan's [`Decision::Execute`] indices; the executor
+/// loop around it produces every other row. A target of this process is
+/// one; `goofi-server` runs `goofi worker` processes as another.
+pub trait ChunkExecutor: Send {
+    /// Readies the executor for `plan` on its driver thread, before the
+    /// first chunk (a worker process finishes its own plan here). An
+    /// error aborts the campaign.
+    fn start(&mut self, plan: &CampaignPlan) -> Result<()> {
+        let _ = plan;
+        Ok(())
+    }
+
+    /// Executes `indices` (ascending, all [`Decision::Execute`] in
+    /// `plan`) and returns their runs in the same order.
+    ///
+    /// # Errors
+    ///
+    /// Target or transport errors; the campaign aborts.
+    fn run_chunk(
+        &mut self,
+        plan: &CampaignPlan,
+        campaign: &Campaign,
+        indices: &[usize],
+    ) -> Result<Vec<ExperimentRun>>;
+}
+
+impl ChunkExecutor for &mut dyn TargetSystemInterface {
+    fn run_chunk(
+        &mut self,
+        plan: &CampaignPlan,
+        campaign: &Campaign,
+        indices: &[usize],
+    ) -> Result<Vec<ExperimentRun>> {
+        indices
+            .iter()
+            .map(|&index| plan.execute(&mut **self, campaign, index))
+            .collect()
+    }
+}
+
 /// The single campaign entry point: a builder selecting target source,
 /// worker count, options, observer, store and resume, then [`run`].
 ///
@@ -245,9 +288,24 @@ pub struct CampaignRunner<'a> {
     controller: Option<&'a Controller>,
     store: Option<&'a mut GoofiStore>,
     resume: bool,
+    /// Caller-supplied chunk executors and the indices per chunk.
+    launched: Option<(Vec<Box<dyn ChunkExecutor + 'a>>, usize)>,
 }
 
 impl<'a> CampaignRunner<'a> {
+    fn with_source(source: TargetSource<'a>, campaign: &'a Campaign) -> CampaignRunner<'a> {
+        CampaignRunner {
+            source,
+            campaign,
+            workers: 1,
+            options: RunOptions::default(),
+            controller: None,
+            store: None,
+            resume: false,
+            launched: None,
+        }
+    }
+
     /// A runner over one caller-owned target. Sequential only: asking for
     /// more than one worker is an error (workers each need their own
     /// target; use [`CampaignRunner::from_factory`]).
@@ -255,15 +313,7 @@ impl<'a> CampaignRunner<'a> {
         target: &'a mut dyn TargetSystemInterface,
         campaign: &'a Campaign,
     ) -> CampaignRunner<'a> {
-        CampaignRunner {
-            source: TargetSource::Single(target),
-            campaign,
-            workers: 1,
-            options: RunOptions::default(),
-            controller: None,
-            store: None,
-            resume: false,
-        }
+        CampaignRunner::with_source(TargetSource::Single(target), campaign)
     }
 
     /// A runner over a target factory: the planner's target, which also
@@ -273,21 +323,23 @@ impl<'a> CampaignRunner<'a> {
     where
         F: Fn() -> Box<dyn TargetSystemInterface> + Sync + 'a,
     {
-        CampaignRunner {
-            source: TargetSource::Factory(Box::new(factory)),
-            campaign,
-            workers: 1,
-            options: RunOptions::default(),
-            controller: None,
-            store: None,
-            resume: false,
-        }
+        CampaignRunner::with_source(TargetSource::Factory(Box::new(factory)), campaign)
     }
 
     /// Sets the worker count (default 1 = sequential). Zero is rejected
     /// by [`run`](CampaignRunner::run).
     pub fn workers(mut self, workers: usize) -> Self {
         self.workers = workers;
+        self
+    }
+
+    /// Runs the experiments on `executors` (such as worker processes),
+    /// claiming `chunk` indices at a time: the worker count becomes the
+    /// executor count, and the planner's target only plans (without a
+    /// checkpoint cache). The pool runs even with one executor, so store
+    /// appends overlap its next chunk.
+    pub fn executors(mut self, executors: Vec<Box<dyn ChunkExecutor + 'a>>, chunk: usize) -> Self {
+        self.launched = Some((executors, chunk.max(1)));
         self
     }
 
@@ -333,6 +385,23 @@ impl<'a> CampaignRunner<'a> {
     /// multiple workers without a factory). The first worker error aborts
     /// a parallel campaign.
     pub fn run(self) -> Result<CampaignResult> {
+        Ok(self.finish(true)?.0)
+    }
+
+    /// Runs the campaign like [`run`](CampaignRunner::run) but keeps no
+    /// runs, only what the sink counted while logging (the services' job
+    /// body).
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](CampaignRunner::run).
+    pub fn run_summary(self) -> Result<JobSummary> {
+        Ok(self.finish(false)?.1)
+    }
+
+    /// Plans, executes and persists the trailing tables; the result holds
+    /// runs only with `keep_runs`.
+    fn finish(self, keep_runs: bool) -> Result<(CampaignResult, JobSummary)> {
         let CampaignRunner {
             source,
             campaign,
@@ -341,7 +410,9 @@ impl<'a> CampaignRunner<'a> {
             controller,
             mut store,
             resume,
+            launched,
         } = self;
+        let workers = launched.as_ref().map_or(workers, |(e, _)| e.len());
         if workers == 0 {
             return Err(GoofiError::Campaign(
                 "worker count must be at least 1".into(),
@@ -357,13 +428,14 @@ impl<'a> CampaignRunner<'a> {
             .map(|t| tracing::set_default(&t.dispatch));
         let wall = Instant::now();
 
-        // The targets, fault list and checkpoint cache are dropped at the
-        // end of this block, before the trailing tables are persisted.
-        let (runs, reference, static_analysis) = {
+        // The targets, executors, fault list and checkpoint cache are
+        // dropped at the end of this block, before the trailing tables are
+        // persisted.
+        let (tally, reference, static_analysis) = {
             let mut owned: Box<dyn TargetSystemInterface>;
             let (target, factory): (&mut dyn TargetSystemInterface, Option<Box<Factory<'a>>>) =
                 match source {
-                    TargetSource::Single(_) if workers > 1 => {
+                    TargetSource::Single(_) if workers > 1 && launched.is_none() => {
                         return Err(GoofiError::Campaign(format!(
                             "{workers} workers each need their own target; construct the runner with CampaignRunner::from_factory"
                         )))
@@ -374,47 +446,87 @@ impl<'a> CampaignRunner<'a> {
                         (owned.as_mut(), Some(factory))
                     }
                 };
+            let plan_options = options.checkpoint(options.checkpoint && launched.is_none());
             let mut plan = plan(
                 target,
                 campaign,
-                &options,
+                &plan_options,
                 store.as_deref().filter(|_| resume),
             )?;
-            let runs = execute(
+            let mut more: Vec<Box<dyn TargetSystemInterface>>;
+            let mut executors: Vec<Box<dyn ChunkExecutor + '_>>;
+            let chunk = match launched {
+                Some((launched, chunk)) => {
+                    executors = launched;
+                    Some(chunk)
+                }
+                None => {
+                    more = (1..workers)
+                        .filter_map(|_| factory.as_ref().map(|f| f()))
+                        .collect();
+                    let more = more
+                        .iter_mut()
+                        .map(|t| -> &mut dyn TargetSystemInterface { t.as_mut() });
+                    executors = std::iter::once(target)
+                        .chain(more)
+                        .map(|t| Box::new(t) as _)
+                        .collect();
+                    None
+                }
+            };
+            let tally = execute(
                 &mut plan,
-                target,
-                factory.as_deref(),
-                workers,
+                &mut executors,
+                chunk,
                 campaign,
                 store.as_deref_mut(),
                 controller,
                 telemetry.as_ref(),
+                keep_runs,
             )?;
-            (runs, plan.reference, plan.static_analysis)
-        };
-        let stats = classify(&reference, &runs);
-        let mut result = CampaignResult {
-            campaign: campaign.clone(),
-            reference,
-            runs,
-            stats,
-            telemetry: None,
-            static_analysis,
+            (tally, plan.reference, plan.static_analysis)
         };
 
-        if let (Some(analysis), Some(store)) = (&result.static_analysis, store.as_deref_mut()) {
+        if let (Some(analysis), Some(store)) = (&static_analysis, store.as_deref_mut()) {
             store.put_static_analysis(&campaign.name, analysis)?;
         }
-        if let Some(t) = &telemetry {
-            let rollup =
-                t.recorder
-                    .finish(&campaign.name, workers, wall.elapsed().as_nanos() as u64);
-            if let Some(store) = store {
-                store.put_telemetry(&rollup)?;
-            }
-            result.telemetry = Some(rollup);
+        let telemetry = telemetry.map(|t| {
+            t.recorder
+                .finish(&campaign.name, workers, wall.elapsed().as_nanos() as u64)
+        });
+        if let (Some(rollup), Some(store)) = (&telemetry, store) {
+            store.put_telemetry(rollup)?;
         }
-        Ok(result)
+
+        let mut summary = JobSummary::new(&campaign.name, workers);
+        summary.experiments = tally.completed;
+        summary.pruned = tally.stats.pruned;
+        summary.predicted = tally.predicted;
+        summary.stats = tally.stats.clone();
+        summary.class_savings = static_analysis
+            .as_ref()
+            .map(StaticAnalysis::class_savings)
+            .filter(|&(_, fanned)| fanned > 0)
+            .map(|(representatives, fanned)| ClassSavings {
+                representatives,
+                fanned,
+            });
+        summary.telemetry = telemetry.clone();
+        let result = CampaignResult {
+            campaign: campaign.clone(),
+            reference,
+            // In fault-list order, with gaps where a stop hit.
+            runs: tally
+                .runs
+                .unwrap_or_default()
+                .into_iter()
+                .flatten()
+                .collect(),
+            stats: tally.stats,
+            telemetry,
+            static_analysis,
+        };
+        Ok((result, summary))
     }
 }
 
@@ -444,77 +556,38 @@ fn record_of(campaign: &Campaign, name: String, run: &ExperimentRun) -> Experime
     }
 }
 
-/// Builds the synthetic result of a pruned experiment: by the soundness of
-/// the liveness analysis its outcome is exactly the reference outcome.
-///
-/// Built field by field rather than by cloning the reference so the
-/// reference's `detail_trace` — potentially thousands of state vectors in
-/// detail mode — is never copied into (and then dropped from) every pruned
-/// row. Pruned rows carry no detail trace: the reference row already holds
-/// the identical trace once.
-fn pruned_run(reference: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
+/// A synthesised row: `fault` with the observed outcome of `from`, built
+/// field by field so `from`'s detail trace — potentially thousands of
+/// state vectors — is never copied (the row it copies already holds it
+/// once). The caller sets the activation count and flags.
+fn outcome_of(from: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
     ExperimentRun {
         fault: Some(fault.clone()),
-        termination: reference.termination.clone(),
-        outputs: reference.outputs.clone(),
-        state: reference.state.clone(),
-        instructions: reference.instructions,
-        iterations: reference.iterations,
+        termination: from.termination.clone(),
+        outputs: from.outputs.clone(),
+        state: from.state.clone(),
+        instructions: from.instructions,
+        iterations: from.iterations,
         activations_done: 0,
         detail_trace: None,
-        pruned: true,
+        pruned: false,
         predicted: false,
     }
 }
 
-/// Builds the synthetic result of a statically *predicted* experiment:
-/// the propagation analysis proved the fault activates but washes out of
-/// the architectural state without touching control, addresses or
-/// trap-prone operands, so the faulty execution re-converges with the
-/// reference — same termination, outputs, state and instruction count.
-/// Field-by-field for the same detail-trace reason as [`pruned_run`].
-///
-/// `activations_done` counts the activations at times within the
-/// reference run (all of them — [`StaticAnalysis::can_predict`] proves
-/// every activation window washes out, which requires each activation to
-/// fire inside the covered execution).
-fn predicted_run(reference: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
-    ExperimentRun {
-        fault: Some(fault.clone()),
-        termination: reference.termination.clone(),
-        outputs: reference.outputs.clone(),
-        state: reference.state.clone(),
-        instructions: reference.instructions,
-        iterations: reference.iterations,
-        activations_done: fault.times.len(),
-        detail_trace: None,
-        pruned: false,
-        predicted: true,
-    }
-}
-
-/// Builds the synthetic result of an equivalence-class member from its
-/// representative's executed run. Soundness: both faults mutate the same
-/// bits with the same model, and every target location is untouched by
-/// the fault-free execution between the two injection times (they share
-/// the location's first-touch window), so the post-injection trajectories
-/// — and therefore every logged observable — coincide exactly.
-///
-/// `activations_done` is copied from the representative so the member row
+/// Builds the row of an equivalence-class member from its
+/// representative's run. Soundness: both faults mutate the same bits with
+/// the same model, and every target location is untouched by the
+/// fault-free execution between the two injection times (they share the
+/// location's first-touch window), so the post-injection trajectories —
+/// and therefore every logged observable — coincide exactly. The
+/// activation count is the representative's, so the member row
 /// round-trips through the store identically to a directly-executed one.
 fn fanned_run(representative: &ExperimentRun, fault: &PlannedFault) -> ExperimentRun {
     tracing::value(names::COUNTER_FANNED, 1);
     ExperimentRun {
-        fault: Some(fault.clone()),
-        termination: representative.termination.clone(),
-        outputs: representative.outputs.clone(),
-        state: representative.state.clone(),
-        instructions: representative.instructions,
-        iterations: representative.iterations,
         activations_done: representative.activations_done,
-        detail_trace: None,
-        pruned: false,
-        predicted: false,
+        ..outcome_of(representative, fault)
     }
 }
 
@@ -578,7 +651,7 @@ fn synthesis_envelope(campaign: &Campaign) -> bool {
 /// Every campaign is planned here. `goofi-server` worker processes call
 /// [`plan_campaign`] against the same campaign, derive the *same* plan
 /// (fault-list generation is seeded), then execute whatever chunk of
-/// experiment indices the server hands them. Rows produced through a plan
+/// experiment indices the daemon hands them. Rows produced through a plan
 /// are byte-identical to the runner's.
 pub struct CampaignPlan {
     /// The generated fault list, in campaign order.
@@ -602,10 +675,9 @@ pub struct CampaignPlan {
 /// Builds the shared campaign plan on `target`. Identical inputs
 /// (campaign, options) produce identical plans on every call — the
 /// foundation of multi-process execution and its byte-identical-DB
-/// guarantee. Equivalence-class execution is deliberately left out:
-/// fanned rows are byte-identical to directly-executed ones, so
-/// distributed workers always execute directly and the class knob stays
-/// a single-process optimisation.
+/// guarantee: the daemon and each of its worker processes derive the same
+/// decisions, so the daemon can send workers only the indices its own
+/// plan leaves to execution.
 ///
 /// # Errors
 ///
@@ -616,7 +688,7 @@ pub fn plan_campaign(
     campaign: &Campaign,
     options: &RunOptions,
 ) -> Result<CampaignPlan> {
-    plan(target, campaign, &options.class_execution(false), None)
+    plan(target, campaign, options, None)
 }
 
 /// The planner: fault list, pruning, prediction, class grouping,
@@ -774,25 +846,47 @@ impl CampaignPlan {
                 self.faults.len()
             ))
         })?;
-        match self.decisions[index] {
-            Decision::Pruned => {
-                tracing::value(names::COUNTER_PRUNED, 1);
-                Ok(pruned_run(&self.reference, fault))
-            }
-            Decision::Predicted => {
-                tracing::value(names::COUNTER_PREDICTED, 1);
-                Ok(predicted_run(&self.reference, fault))
-            }
-            _ => {
-                let _s = tracing::span(names::PHASE_EXPERIMENT);
-                match &self.checkpoints {
-                    // Warm start: rewind to the nearest checkpoint
-                    // preceding the fault's first activation.
-                    Some(plan) => run_experiment_checkpointed(target, campaign, fault, plan),
-                    None => run_experiment(target, campaign, fault),
-                }
-            }
+        if let Some(run) = self.synthesise(index) {
+            return Ok(run);
         }
+        let _s = tracing::span(names::PHASE_EXPERIMENT);
+        match &self.checkpoints {
+            // Warm start: rewind to the nearest checkpoint preceding the
+            // fault's first activation.
+            Some(plan) => run_experiment_checkpointed(target, campaign, fault, plan),
+            None => run_experiment(target, campaign, fault),
+        }
+    }
+
+    /// The synthesised row of a pruned or predicted experiment; `None`
+    /// for any other decision. Both copy the reference outcome: a pruned
+    /// fault is provably overwritten before any read (no activation
+    /// counts), and a predicted one provably washes out of the
+    /// architectural state without touching control, addresses or
+    /// trap-prone operands, after all its activations fired inside the
+    /// covered execution ([`StaticAnalysis::can_predict`]).
+    fn synthesise(&self, index: usize) -> Option<ExperimentRun> {
+        let fault = &self.faults[index];
+        let (counter, run) = match self.decisions[index] {
+            Decision::Pruned => (
+                names::COUNTER_PRUNED,
+                ExperimentRun {
+                    pruned: true,
+                    ..outcome_of(&self.reference, fault)
+                },
+            ),
+            Decision::Predicted => (
+                names::COUNTER_PREDICTED,
+                ExperimentRun {
+                    activations_done: fault.times.len(),
+                    predicted: true,
+                    ..outcome_of(&self.reference, fault)
+                },
+            ),
+            _ => return None,
+        };
+        tracing::value(counter, 1);
+        Some(run)
     }
 
     /// The loggable record of experiment `index` from its `run`, named
@@ -890,37 +984,44 @@ fn prepare(
     Ok((faults, prune, class_analysis))
 }
 
-/// Classification, as its own phase span.
-fn classify(reference: &ExperimentRun, runs: &[ExperimentRun]) -> CampaignStats {
-    let _s = tracing::span(names::PHASE_CLASSIFICATION);
-    CampaignStats::from_runs(reference, runs)
-}
-
 // ----------------------------------------------------------------------
 // The executor
 // ----------------------------------------------------------------------
 
+/// What the sink counted over a campaign's rows, stored rows included.
+struct Tally {
+    completed: usize,
+    predicted: usize,
+    /// Exactly what [`CampaignStats::from_runs`] gives for the same runs.
+    stats: CampaignStats,
+    /// Every run by fault index, when the caller keeps them.
+    runs: Option<Vec<Option<ExperimentRun>>>,
+}
+
 /// The single ordered sink every finished row passes through: it logs
 /// the reference first, then experiment rows in fault-list order (a
-/// reorder buffer absorbs out-of-order arrivals from the pool), and emits
-/// progress events.
+/// reorder buffer absorbs out-of-order arrivals from the pool), tallies
+/// each row, and emits progress events.
 struct Sink<'a> {
     store: Option<&'a mut GoofiStore>,
     controller: Option<&'a Controller>,
-    decisions: &'a [Decision],
-    /// Rows done so far, stored rows included.
-    completed: usize,
+    plan: &'a CampaignPlan,
+    tally: Tally,
     /// The next fault index to log.
     next: usize,
     pending: BTreeMap<usize, ExperimentRecord>,
 }
 
 impl<'a> Sink<'a> {
+    /// Opens the sink, tallying the `stored` runs of [`Decision::Logged`]
+    /// rows.
     fn open(
         plan: &'a CampaignPlan,
         campaign: &'a Campaign,
+        stored: Vec<Option<ExperimentRun>>,
         mut store: Option<&'a mut GoofiStore>,
         controller: Option<&'a Controller>,
+        keep_runs: bool,
     ) -> Result<Sink<'a>> {
         if let Some(ctl) = controller {
             ctl.emit(ProgressEvent::Started {
@@ -931,15 +1032,21 @@ impl<'a> Sink<'a> {
         if let (true, Some(store)) = (plan.log_reference, store.as_deref_mut()) {
             store.log_experiment(&plan.reference_record(campaign))?;
         }
+        let tally = Tally {
+            completed: stored.iter().flatten().count(),
+            predicted: 0,
+            stats: CampaignStats::from_runs(&plan.reference, stored.iter().flatten()),
+            runs: keep_runs.then(|| {
+                let mut runs = stored;
+                runs.resize_with(plan.len(), || None);
+                runs
+            }),
+        };
         let mut sink = Sink {
             store,
             controller,
-            decisions: &plan.decisions,
-            completed: plan
-                .decisions
-                .iter()
-                .filter(|&&d| d == Decision::Logged)
-                .count(),
+            plan,
+            tally,
             next: 0,
             pending: BTreeMap::new(),
         };
@@ -948,13 +1055,18 @@ impl<'a> Sink<'a> {
     }
 
     fn skip_logged(&mut self) {
-        while self.decisions.get(self.next) == Some(&Decision::Logged) {
+        while self.plan.decisions.get(self.next) == Some(&Decision::Logged) {
             self.next += 1;
         }
     }
 
     /// Accepts finished row `index` (`record` is `None` without a store).
-    fn accept(&mut self, index: usize, record: Option<ExperimentRecord>) -> Result<()> {
+    fn accept(
+        &mut self,
+        index: usize,
+        record: Option<ExperimentRecord>,
+        run: ExperimentRun,
+    ) -> Result<()> {
         if let Some(record) = record {
             self.pending.insert(index, record);
             while let Some(record) = self.pending.remove(&self.next) {
@@ -965,141 +1077,221 @@ impl<'a> Sink<'a> {
                 self.skip_logged();
             }
         }
-        self.completed += 1;
+        let tally = &mut self.tally;
+        tally.stats.add_run(&self.plan.reference, &run);
+        tally.predicted += usize::from(run.predicted);
+        tally.completed += 1;
         if let Some(ctl) = self.controller {
             ctl.emit(ProgressEvent::ExperimentDone {
-                completed: self.completed,
-                total: self.decisions.len(),
-                pruned: self.decisions[index] == Decision::Pruned,
+                completed: tally.completed,
+                total: self.plan.len(),
+                pruned: run.pruned,
             });
+        }
+        if let Some(runs) = &mut tally.runs {
+            runs[index] = Some(run);
         }
         Ok(())
     }
 
     /// Logs the rows a stop stranded behind gaps in the fault-index
     /// sequence, so no finished work is discarded (resume skips exactly
-    /// the missing rows).
-    fn close(self) -> Result<()> {
+    /// the missing rows), and returns the tally.
+    fn close(self) -> Result<Tally> {
         if let Some(store) = self.store {
             for record in self.pending.into_values() {
                 store.log_experiment(&record)?;
             }
         }
-        Ok(())
+        Ok(self.tally)
     }
 }
 
-/// Produces row `index` on `target` per its decision — synthesised when
-/// pruned or predicted, executed otherwise — charging executions to
-/// `gauges`.
-fn produce(
-    plan: &CampaignPlan,
-    target: &mut dyn TargetSystemInterface,
-    campaign: &Campaign,
-    index: usize,
-    gauges: &mut WorkerTelemetry,
+/// What every driver shares: the plan and the rows still to produce.
+struct Work<'a> {
+    plan: &'a CampaignPlan,
+    campaign: &'a Campaign,
+    /// Fault indices to produce, ascending, claimed `chunk` at a time: all
+    /// but stored rows and the members of live representatives.
+    list: Vec<usize>,
+    chunk: usize,
+    /// Class members, produced right after their representative.
+    fanout: BTreeMap<usize, Vec<usize>>,
+    /// Stored runs of representatives whose members are claimed like any
+    /// other row (resume only).
+    stored_reps: BTreeMap<usize, ExperimentRun>,
+    /// Whether drivers time their gauges, and build records for a store.
     timed: bool,
-) -> Result<ExperimentRun> {
-    if plan.decisions[index] != Decision::Execute {
-        return plan.execute(target, campaign, index);
-    }
-    let busy_t0 = timed.then(Instant::now);
-    let run = plan.execute(target, campaign, index)?;
-    if let Some(t0) = busy_t0 {
-        gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
-    }
-    gauges.claimed += 1;
-    Ok(run)
+    records: bool,
 }
 
-/// The executor: walks the plan's decisions and passes every finished row
-/// through one [`Sink`]. One worker runs inline on the planner's target;
-/// more run the work-stealing pool. Returns the runs in fault-list order
-/// (the completed subset when stopped).
+impl<'a> Work<'a> {
+    fn new(
+        plan: &'a CampaignPlan,
+        campaign: &'a Campaign,
+        stored: &[Option<ExperimentRun>],
+    ) -> Self {
+        let decisions = &plan.decisions;
+        let (mut list, mut fanout, mut stored_reps) =
+            (Vec::new(), BTreeMap::new(), BTreeMap::new());
+        for (i, &decision) in decisions.iter().enumerate() {
+            match decision {
+                Decision::Logged => continue,
+                Decision::Proxied(rep) if decisions[rep] != Decision::Logged => {
+                    fanout.entry(rep).or_insert_with(Vec::new).push(i);
+                    continue;
+                }
+                Decision::Proxied(rep) => {
+                    let run = stored[rep].as_ref().expect("logged rows are loaded");
+                    stored_reps.entry(rep).or_insert_with(|| run.clone());
+                }
+                _ => {}
+            }
+            list.push(i);
+        }
+        Work {
+            plan,
+            campaign,
+            list,
+            chunk: 1,
+            fanout,
+            stored_reps,
+            timed: false,
+            records: false,
+        }
+    }
+
+    /// The record of row `i` for the store, when there is one.
+    fn record(&self, i: usize, run: &ExperimentRun) -> Option<ExperimentRecord> {
+        self.records
+            .then(|| self.plan.record(self.campaign, i, run))
+    }
+
+    /// The executor loop: claims chunks until `claim` runs dry, runs each
+    /// chunk's executions on `executor`, then emits its rows in index
+    /// order, each class member right after its representative (so a
+    /// member is only logged if its representative is). Returns the claim
+    /// count.
+    fn drive(
+        &self,
+        executor: &mut dyn ChunkExecutor,
+        gauges: &mut WorkerTelemetry,
+        mut claim: impl FnMut() -> Result<Option<usize>>,
+        mut emit: impl FnMut(usize, ExperimentRun) -> Result<()>,
+    ) -> Result<u64> {
+        let plan = self.plan;
+        executor.start(plan)?;
+        let mut claims = 0;
+        loop {
+            let idle_t0 = self.timed.then(Instant::now);
+            let Some(start) = claim()?.filter(|&s| s < self.list.len()) else {
+                return Ok(claims);
+            };
+            if let Some(t0) = idle_t0 {
+                gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
+            }
+            claims += 1;
+            let rows = &self.list[start..(start + self.chunk).min(self.list.len())];
+            let executions: Vec<usize> = rows
+                .iter()
+                .copied()
+                .filter(|&i| plan.decisions[i] == Decision::Execute)
+                .collect();
+            let busy_t0 = self.timed.then(Instant::now);
+            let mut runs = match executions.is_empty() {
+                true => Vec::new(),
+                false => executor.run_chunk(plan, self.campaign, &executions)?,
+            }
+            .into_iter();
+            if let Some(t0) = busy_t0 {
+                gauges.busy_nanos += t0.elapsed().as_nanos() as u64;
+            }
+            gauges.claimed += executions.len() as u64;
+            for &i in rows {
+                let run = match plan.decisions[i] {
+                    Decision::Execute => runs.next().ok_or_else(|| {
+                        GoofiError::Protocol(format!("no run returned for experiment {i}"))
+                    })?,
+                    Decision::Proxied(rep) => fanned_run(&self.stored_reps[&rep], &plan.faults[i]),
+                    _ => plan.synthesise(i).expect("pruned or predicted"),
+                };
+                let members = self.fanout.get(&i).into_iter().flatten();
+                let fans: Vec<_> = members
+                    .map(|&m| (m, fanned_run(&run, &plan.faults[m])))
+                    .collect();
+                emit(i, run)?;
+                for (m, fan) in fans {
+                    emit(m, fan)?;
+                }
+            }
+        }
+    }
+}
+
+/// The executor: opens the sink and drives the executors over the plan's
+/// undecided rows. Caller-supplied executors (`chunk` is `Some`) always
+/// run the pool; one in-process target runs inline.
 #[allow(clippy::too_many_arguments)]
 fn execute(
     plan: &mut CampaignPlan,
-    target: &mut dyn TargetSystemInterface,
-    factory: Option<&Factory<'_>>,
-    workers: usize,
+    executors: &mut [Box<dyn ChunkExecutor + '_>],
+    chunk: Option<usize>,
     campaign: &Campaign,
     store: Option<&mut GoofiStore>,
     controller: Option<&Controller>,
     telemetry: Option<&Telemetry>,
-) -> Result<Vec<ExperimentRun>> {
+    keep_runs: bool,
+) -> Result<Tally> {
     let stored = std::mem::take(&mut plan.stored);
     let plan = &*plan;
-    let mut sink = Sink::open(plan, campaign, store, controller)?;
-    let (runs, stopped) = match factory {
-        Some(factory) if workers > 1 => run_pool(
-            plan, stored, target, factory, workers, campaign, sink, controller, telemetry,
-        )?,
-        _ => {
-            let out = run_inline(
-                plan, stored, target, campaign, &mut sink, controller, telemetry,
-            )?;
-            sink.close()?;
-            out
+    let mut work = Work::new(plan, campaign, &stored);
+    (work.timed, work.records) = (telemetry.is_some(), store.is_some());
+    let mut sink = Sink::open(plan, campaign, stored, store, controller, keep_runs)?;
+    let (tally, stopped) = match (chunk, executors) {
+        // One worker on the calling thread: every row is its own claim and
+        // pause and stop go through [`Controller::checkpoint`] before it,
+        // so a stopped campaign leaves a fault-list prefix (plus, under
+        // class execution, the members of the representatives it ran).
+        (None, [executor]) => {
+            let mut gauges = WorkerTelemetry::default();
+            let (mut next, mut stopped) = (0, false);
+            let claim = || {
+                if next < work.list.len() {
+                    match controller.map_or(Ok(()), Controller::checkpoint) {
+                        Err(GoofiError::Stopped) => stopped = true,
+                        other => other?,
+                    }
+                }
+                next += 1;
+                Ok((!stopped).then_some(next - 1))
+            };
+            let emit = |i, run| sink.accept(i, work.record(i, &run), run);
+            work.drive(executor.as_mut(), &mut gauges, claim, emit)?;
+            if let Some(t) = telemetry {
+                t.recorder.record_worker(gauges);
+            }
+            (sink.close()?, stopped)
+        }
+        (chunk, executors) => {
+            // Chunked claims: large enough to amortise cursor contention,
+            // small enough that a slow experiment cannot strand a long
+            // tail behind one worker.
+            let workers = executors.len();
+            work.chunk = chunk.unwrap_or((work.list.len() / (workers * 4)).clamp(1, 32));
+            run_pool(&work, executors, sink, controller, telemetry)?
         }
     };
     if let Some(ctl) = controller {
         ctl.emit(ProgressEvent::Finished {
-            completed: runs.len(),
+            completed: tally.completed,
             stopped,
         });
     }
-    Ok(runs)
+    Ok(tally)
 }
 
-/// One worker on the calling thread, in fault-list order: the sink is
-/// called inline and pause/stop go through [`Controller::checkpoint`], so
-/// a stopped campaign leaves exactly a fault-list prefix.
-fn run_inline(
-    plan: &CampaignPlan,
-    mut stored: Vec<Option<ExperimentRun>>,
-    target: &mut dyn TargetSystemInterface,
-    campaign: &Campaign,
-    sink: &mut Sink<'_>,
-    controller: Option<&Controller>,
-    telemetry: Option<&Telemetry>,
-) -> Result<(Vec<ExperimentRun>, bool)> {
-    let mut gauges = WorkerTelemetry::default();
-    let mut runs: Vec<ExperimentRun> = Vec::with_capacity(plan.len());
-    let mut stopped = false;
-    for (i, &decision) in plan.decisions.iter().enumerate() {
-        if decision == Decision::Logged {
-            runs.push(stored[i].take().expect("logged rows are loaded"));
-            continue;
-        }
-        if let Some(ctl) = controller {
-            match ctl.checkpoint() {
-                Ok(()) => {}
-                Err(GoofiError::Stopped) => {
-                    stopped = true;
-                    break;
-                }
-                Err(other) => return Err(other),
-            }
-        }
-        let run = match decision {
-            // The representative has the lowest index in its class, so
-            // its run — reloaded or executed — is already in `runs`.
-            Decision::Proxied(rep) => fanned_run(&runs[rep], &plan.faults[i]),
-            _ => produce(plan, target, campaign, i, &mut gauges, telemetry.is_some())?,
-        };
-        let record = sink.store.is_some().then(|| plan.record(campaign, i, &run));
-        sink.accept(i, record)?;
-        runs.push(run);
-    }
-    if let Some(t) = telemetry {
-        t.recorder.record_worker(gauges);
-    }
-    Ok((runs, stopped))
-}
-
-/// Worker/writer pause-stop gate: workers ask for admission before every
-/// row; the writer thread translates operator [`Command`]s into state
-/// changes. Stop is terminal.
+/// Driver/writer pause-stop gate: drivers ask for admission before every
+/// claim; operator [`Command`]s change its state. Stop is terminal.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GateState {
     Running,
@@ -1135,109 +1327,73 @@ impl Gate {
         }
     }
 
-    fn set(&self, new: GateState) {
+    /// Applies an operator command, acknowledging on `ctl` a pause or
+    /// resume that changes the state.
+    fn command(&self, cmd: Command, ctl: &Controller) {
         let mut state = self.state.lock();
-        if *state != GateState::Stopped {
-            *state = new;
-        }
+        let (next, ack) = match (cmd, *state) {
+            (Command::Pause, GateState::Running) => {
+                (GateState::Paused, Some(ProgressEvent::Paused))
+            }
+            (Command::Resume, GateState::Paused) => {
+                (GateState::Running, Some(ProgressEvent::Resumed))
+            }
+            (Command::Stop, _) => (GateState::Stopped, None),
+            _ => return,
+        };
+        *state = next;
+        drop(state);
         self.cv.notify_all();
+        if let Some(ack) = ack {
+            ctl.emit(ack);
+        }
+    }
+
+    fn stopped(&self) -> bool {
+        *self.state.lock() == GateState::Stopped
     }
 }
 
-/// Applies the commands already pending when the pool starts, on the
-/// calling thread *before* any worker spawns, so that stop/pause-before-
-/// start is deterministic (matching the inline executor) instead of
-/// racing the first rows. Returns whether the campaign starts stopped.
-fn drain_pre_commands(controller: Option<&Controller>, gate: &Gate) -> bool {
-    let Some(ctl) = controller else {
-        return false;
-    };
-    let mut paused = false;
-    while let Ok(cmd) = ctl.command_receiver().try_recv() {
-        match cmd {
-            Command::Pause if !paused => {
-                paused = true;
-                ctl.emit(ProgressEvent::Paused);
-            }
-            Command::Resume if paused => {
-                paused = false;
-                ctl.emit(ProgressEvent::Resumed);
-            }
-            Command::Stop => {
-                gate.set(GateState::Stopped);
-                return true;
-            }
-            _ => {}
-        }
-    }
-    if paused {
-        gate.set(GateState::Paused);
-    }
-    false
-}
+/// A finished row on its way from a driver to the writer.
+type Row = (usize, Option<ExperimentRecord>, ExperimentRun);
 
 /// The writer thread: owns the sink, drains finished rows from the
-/// workers and applies operator commands to the worker gate. Returns
-/// whether the campaign was stopped.
+/// drivers and applies operator commands to the gate. Returns the tally
+/// and whether the campaign was stopped.
 fn writer_loop(
-    rx: crossbeam::channel::Receiver<(usize, Option<ExperimentRecord>)>,
+    rx: crossbeam::channel::Receiver<Row>,
     mut sink: Sink<'_>,
     controller: Option<&Controller>,
     gate: &Gate,
     abort: &AtomicBool,
-    mut stopped: bool,
-) -> Result<bool> {
+) -> Result<(Tally, bool)> {
     let never = crossbeam::channel::never::<Command>();
-    let mut commands = controller
-        .map(|c| c.command_receiver().clone())
-        .unwrap_or_else(|| never.clone());
-    let mut paused = *gate.state.lock() == GateState::Paused;
+    let mut commands = controller.map_or_else(|| never.clone(), |c| c.command_receiver().clone());
     let mut error = None;
-
     loop {
         crossbeam::channel::select! {
             recv(rx) -> msg => match msg {
-                Ok((index, record)) => {
+                Ok((index, record, run)) => {
                     if error.is_none() {
-                        if let Err(e) = sink.accept(index, record) {
+                        if let Err(e) = sink.accept(index, record, run) {
                             error = Some(e);
                             abort.store(true, Ordering::Relaxed);
                         }
                     }
                 }
-                // All workers are done.
+                // All drivers are done.
                 Err(_) => break,
             },
-            recv(commands) -> cmd => match cmd {
-                Ok(Command::Pause) => {
-                    if !paused {
-                        paused = true;
-                        gate.set(GateState::Paused);
-                        if let Some(ctl) = controller {
-                            ctl.emit(ProgressEvent::Paused);
-                        }
-                    }
-                }
-                Ok(Command::Resume) => {
-                    if paused {
-                        paused = false;
-                        gate.set(GateState::Running);
-                        if let Some(ctl) = controller {
-                            ctl.emit(ProgressEvent::Resumed);
-                        }
-                    }
-                }
-                Ok(Command::Stop) => {
-                    stopped = true;
-                    gate.set(GateState::Stopped);
-                }
-                Err(_) => {
+            recv(commands) -> cmd => match (cmd, controller) {
+                (Ok(cmd), Some(ctl)) => gate.command(cmd, ctl),
+                _ => {
                     // Operator handle vanished: a campaign must not stay
                     // paused (or poll a dead channel) because its progress
                     // window closed.
-                    if paused {
-                        paused = false;
-                        gate.set(GateState::Running);
+                    let mut state = gate.state.lock();
+                    if *state == GateState::Paused {
+                        *state = GateState::Running;
+                        gate.cv.notify_all();
                     }
                     commands = never.clone();
                 }
@@ -1246,194 +1402,90 @@ fn writer_loop(
     }
     match error {
         Some(e) => Err(e),
-        None => sink.close().map(|()| stopped),
+        None => sink.close().map(|tally| (tally, gate.stopped())),
     }
 }
 
-/// The work-stealing pool.
-///
-/// * Workers claim chunks of the undecided indices off a shared atomic
-///   cursor (chunked claims amortise contention) and synthesise pruned
-///   and predicted rows inline. A worker executing a class representative
-///   fans its members out right after it, so each member's row follows
-///   its representative's on the same FIFO channel — a member row can
-///   only be stored if its representative's is too, which keeps
-///   stop/resume sound. Members of a representative reloaded from the
-///   store are claimed like any other row.
-/// * Worker 0 reuses the planner's target; the others build their own.
-/// * The writer thread owns the [`Sink`] and honours pause/stop.
-/// * With telemetry enabled, every worker (and the writer) installs the
-///   recorder dispatch and reports scheduler gauges: experiments
-///   executed, chunk claims beyond the first ("steals" relative to a
-///   one-shot static partition), busy and idle time.
-#[allow(clippy::too_many_arguments)]
+/// The work-stealing pool: one driver thread per executor runs the
+/// executor loop, claiming chunks off a shared atomic cursor, while the
+/// writer thread owns the [`Sink`] and honours pause/stop. With telemetry
+/// enabled, every driver (and the writer) installs the recorder dispatch
+/// and reports scheduler gauges: experiments executed, chunk claims
+/// beyond the first ("steals" relative to a one-shot static partition),
+/// busy and idle time.
 fn run_pool(
-    plan: &CampaignPlan,
-    mut slots: Vec<Option<ExperimentRun>>,
-    first: &mut dyn TargetSystemInterface,
-    factory: &Factory<'_>,
-    workers: usize,
-    campaign: &Campaign,
+    work: &Work,
+    executors: &mut [Box<dyn ChunkExecutor + '_>],
     sink: Sink<'_>,
     controller: Option<&Controller>,
     telemetry: Option<&Telemetry>,
-) -> Result<(Vec<ExperimentRun>, bool)> {
-    let decisions = &plan.decisions;
-    slots.resize_with(plan.len(), || None);
-    let mut fanout: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    let mut worklist = Vec::new();
-    for (i, &decision) in decisions.iter().enumerate() {
-        match decision {
-            Decision::Logged => {}
-            Decision::Proxied(rep) if decisions[rep] != Decision::Logged => {
-                fanout.entry(rep).or_default().push(i);
-            }
-            _ => worklist.push(i),
+) -> Result<(Tally, bool)> {
+    // Commands already pending apply before any driver spawns, so that
+    // stop or pause before the start is as deterministic as inline.
+    let gate = Gate::new();
+    if let Some(ctl) = controller {
+        while let Ok(cmd) = ctl.command_receiver().try_recv() {
+            gate.command(cmd, ctl);
         }
     }
-    // Chunked claims: large enough to amortise cursor contention, small
-    // enough that a slow experiment cannot strand a long tail behind one
-    // worker.
-    let chunk = (worklist.len() / (workers * 4)).clamp(1, 32);
-
-    let gate = Gate::new();
-    let stopped = drain_pre_commands(controller, &gate);
     let abort = AtomicBool::new(false);
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<(usize, Option<ExperimentRecord>)>();
-    let wants_records = sink.store.is_some();
+    let (tx, rx) = crossbeam::channel::unbounded::<Row>();
 
-    let (locals, first_error, outcome) = std::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let (gate, abort, cursor) = (&gate, &abort, &cursor);
-        let (worklist, fanout, slots) = (&worklist, &fanout, &slots);
 
         let writer = scope.spawn(move || {
             // Store logging happens here, so journal/store spans are only
             // visible if this thread carries the dispatch too.
             let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
-            writer_loop(rx, sink, controller, gate, abort, stopped)
+            writer_loop(rx, sink, controller, gate, abort)
         });
 
-        let mut first = Some(first);
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
+        let handles: Vec<_> = executors
+            .iter_mut()
+            .enumerate()
+            .map(|(w, executor)| {
                 let tx = tx.clone();
-                let first = first.take();
-                scope.spawn(move || -> Result<Vec<(usize, ExperimentRun)>> {
+                scope.spawn(move || -> Result<()> {
                     let _tguard = telemetry.map(|t| tracing::set_default(&t.dispatch));
                     let mut gauges = WorkerTelemetry {
                         worker: w,
                         ..WorkerTelemetry::default()
                     };
-                    let mut owned;
-                    let target: &mut dyn TargetSystemInterface = match first {
-                        Some(target) => target,
-                        None => {
-                            owned = factory();
-                            owned.as_mut()
-                        }
+                    let claim = || {
+                        let admitted = !abort.load(Ordering::Relaxed) && gate.admit();
+                        Ok(admitted.then(|| cursor.fetch_add(work.chunk, Ordering::Relaxed)))
                     };
-                    let record = |i: usize, run: &ExperimentRun| {
-                        wants_records.then(|| plan.record(campaign, i, run))
+                    let emit = |i, run| {
+                        let _ = tx.send((i, work.record(i, &run), run));
+                        Ok(())
                     };
-                    let mut chunks_claimed = 0u64;
-                    let mut local: Vec<(usize, ExperimentRun)> = Vec::new();
-                    'claims: loop {
-                        let idle_t0 = telemetry.map(|_| Instant::now());
-                        if abort.load(Ordering::Relaxed) || !gate.admit() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-                        if let Some(t0) = idle_t0 {
-                            gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
-                        }
-                        if start >= worklist.len() {
-                            break;
-                        }
-                        chunks_claimed += 1;
-                        let end = (start + chunk).min(worklist.len());
-                        for &i in &worklist[start..end] {
-                            let idle_t0 = telemetry.map(|_| Instant::now());
-                            if abort.load(Ordering::Relaxed) || !gate.admit() {
-                                break 'claims;
-                            }
-                            if let Some(t0) = idle_t0 {
-                                gauges.idle_nanos += t0.elapsed().as_nanos() as u64;
-                            }
-                            let run = match decisions[i] {
-                                Decision::Proxied(rep) => fanned_run(
-                                    slots[rep].as_ref().expect("stored representative"),
-                                    &plan.faults[i],
-                                ),
-                                _ => match produce(
-                                    plan,
-                                    target,
-                                    campaign,
-                                    i,
-                                    &mut gauges,
-                                    telemetry.is_some(),
-                                ) {
-                                    Ok(run) => run,
-                                    Err(e) => {
-                                        abort.store(true, Ordering::Relaxed);
-                                        return Err(e);
-                                    }
-                                },
-                            };
-                            let _ = tx.send((i, record(i, &run)));
-                            for &m in fanout.get(&i).into_iter().flatten() {
-                                let fan = fanned_run(&run, &plan.faults[m]);
-                                let _ = tx.send((m, record(m, &fan)));
-                                local.push((m, fan));
-                            }
-                            local.push((i, run));
-                        }
-                    }
+                    let claims = work
+                        .drive(executor.as_mut(), &mut gauges, claim, emit)
+                        .inspect_err(|_| abort.store(true, Ordering::Relaxed))?;
                     if let Some(t) = telemetry {
-                        gauges.steals = chunks_claimed.saturating_sub(1);
+                        gauges.steals = claims.saturating_sub(1);
                         t.recorder.record_worker(gauges);
                     }
-                    Ok(local)
+                    Ok(())
                 })
             })
             .collect();
-        drop(tx); // the writer exits once every worker is gone
+        drop(tx); // the writer exits once every driver is gone
 
-        let mut locals = Vec::with_capacity(workers);
-        let mut first_error: Option<GoofiError> = None;
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(local)) => locals.push(local),
-                Ok(Err(e)) => {
-                    first_error.get_or_insert(e);
-                }
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        let outcome = match writer.join() {
-            Ok(outcome) => outcome,
-            Err(panic) => std::panic::resume_unwind(panic),
-        };
-        (locals, first_error, outcome)
-    });
-
-    if let Some(e) = first_error {
-        return Err(e);
-    }
-    let stopped = outcome?;
-    for (i, run) in locals.into_iter().flatten() {
-        slots[i] = Some(run);
-    }
-    let runs = if stopped {
-        // Completed subset, in fault-list order (gaps where the stop hit).
-        slots.into_iter().flatten().collect()
-    } else {
-        slots
+        let joined: Vec<Result<()>> = handles
             .into_iter()
-            .map(|s| s.ok_or_else(|| GoofiError::Protocol("missing experiment result".into())))
-            .collect::<Result<_>>()?
-    };
-    Ok((runs, stopped))
+            .map(|h| {
+                h.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            })
+            .collect();
+        let outcome = writer
+            .join()
+            .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        joined.into_iter().collect::<Result<()>>().and(outcome)
+    })
 }
 
 #[cfg(test)]
@@ -1752,35 +1804,7 @@ mod tests {
 
         for workers in [1usize, 4] {
             let mut store = store_for(&c);
-            let (ctl, handle) = control_channel();
-            let hold = Hold::new(20);
-            let held = {
-                let hold = hold.clone();
-                move || Box::new(MiniTarget::held(hold.clone())) as Box<dyn TargetSystemInterface>
-            };
-            let operator = std::thread::spawn(move || {
-                let mut seen = 0;
-                while let Some(ev) = handle.next() {
-                    if matches!(ev, ProgressEvent::ExperimentDone { .. }) {
-                        seen += 1;
-                        if seen == 5 {
-                            handle.send(Command::Stop);
-                            hold.release();
-                        }
-                    }
-                    if matches!(ev, ProgressEvent::Finished { .. }) {
-                        break;
-                    }
-                }
-            });
-            let stopped = CampaignRunner::from_factory(held, &c)
-                .workers(workers)
-                .store(&mut store)
-                .observer(&ctl)
-                .run()
-                .unwrap();
-            drop(ctl);
-            operator.join().unwrap();
+            let stopped = stop_after_five(&c, workers, RunOptions::new(), &mut store);
             // Logged rows = completed runs + reference, whatever the timing.
             let logged = store.experiments_of(&c.name).unwrap();
             assert_eq!(logged.len(), stopped.runs.len() + 1);
@@ -1828,6 +1852,80 @@ mod tests {
             }
         }
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Runs `c` into `store` on held targets and stops it from an operator
+    /// thread once five experiments are done.
+    fn stop_after_five(
+        c: &Campaign,
+        workers: usize,
+        options: RunOptions,
+        store: &mut GoofiStore,
+    ) -> CampaignResult {
+        let (ctl, handle) = control_channel();
+        let hold = Hold::new(20);
+        let held = {
+            let hold = hold.clone();
+            move || Box::new(MiniTarget::held(hold.clone())) as Box<dyn TargetSystemInterface>
+        };
+        let operator = std::thread::spawn(move || {
+            let mut seen = 0;
+            while let Some(ev) = handle.next() {
+                if matches!(ev, ProgressEvent::ExperimentDone { .. }) {
+                    seen += 1;
+                    if seen == 5 {
+                        handle.send(Command::Stop);
+                        hold.release();
+                    }
+                }
+                if matches!(ev, ProgressEvent::Finished { .. }) {
+                    break;
+                }
+            }
+        });
+        let stopped = CampaignRunner::from_factory(held, c)
+            .workers(workers)
+            .options(options)
+            .store(store)
+            .observer(&ctl)
+            .run()
+            .unwrap();
+        drop(ctl);
+        operator.join().unwrap();
+        stopped
+    }
+
+    #[test]
+    fn sink_statistics_match_from_runs() {
+        // Trace pruning decides the dead window [6,9]; class execution
+        // groups R0's equivalence windows; a stop then leaves rows that
+        // the resume reloads. The sink's running classification must equal
+        // classifying the result's runs afresh in every case.
+        let mut c = campaign(60, (0, 19));
+        c.pre_injection_analysis = true;
+        let from_runs = |r: &CampaignResult| CampaignStats::from_runs(&r.reference, &r.runs);
+        for class_execution in [false, true] {
+            let options = RunOptions::new().class_execution(class_execution);
+            for workers in [1usize, 4] {
+                let runner = || {
+                    CampaignRunner::from_factory(mini_factory, &c)
+                        .workers(workers)
+                        .options(options)
+                };
+                let full = runner().run().unwrap();
+                assert_eq!(full.stats, from_runs(&full));
+                assert!(full.stats.pruned > 0, "the dead window is pruned");
+                let fanned = full.static_analysis.map(|a| a.class_savings().1);
+                assert_eq!(fanned > Some(0), class_execution, "members fanned out");
+
+                let mut store = store_for(&c);
+                let stopped = stop_after_five(&c, workers, options, &mut store);
+                assert_eq!(stopped.stats, from_runs(&stopped));
+                let resumed = runner().resume_from(&mut store).run().unwrap();
+                assert_eq!(resumed.runs.len(), 60);
+                assert_eq!(resumed.stats, from_runs(&resumed), "{workers} worker(s)");
+            }
+        }
     }
 
     #[test]

@@ -6,13 +6,13 @@
 //! resume riding [`JobSpec::resume`]) that every execution backend
 //! implements:
 //!
-//! * [`LocalService`] — wraps [`CampaignRunner`] in-process: `goofi run`
-//!   and `goofi resume` go through it.
+//! * [`LocalService`] — runs each job through [`CampaignRunner`]
+//!   in-process: `goofi run` and `goofi resume` go through it.
+//! * `ProcessService` (in `goofi-server`) — a `LocalService` whose
+//!   [`Launcher`] runs each job's chunks on `goofi worker` processes.
 //! * `RemoteService` (in `goofi-net`) — speaks the wire protocol to a
 //!   `goofi-server` daemon: `goofi submit` / `watch` / `attach` /
 //!   `cancel` go through it.
-//! * `ProcessService` (in `goofi-server`) — the daemon's multi-process
-//!   engine farming experiments out to `goofi worker` children.
 //!
 //! All three share one event vocabulary ([`ServiceEvent`]) and one job
 //! bookkeeping structure ([`JobRegistry`]), so a progress renderer
@@ -24,8 +24,8 @@ use crate::analysis::CampaignStats;
 use crate::campaign::Campaign;
 use crate::error::{GoofiError, Result};
 use crate::progress::{control_channel, Command, ControlHandle, Controller, ProgressEvent};
-use crate::runner::{CampaignResult, CampaignRunner, RunOptions};
-use crate::staticanalysis::{Pruning, StaticAnalysis};
+use crate::runner::{CampaignRunner, ChunkExecutor, RunOptions};
+use crate::staticanalysis::Pruning;
 use crate::store::GoofiStore;
 use crate::target::TargetSystemInterface;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -44,12 +44,12 @@ pub type JobId = String;
 /// of [`RunOptions`] plus the worker count, so a whole execution request
 /// can ship over the wire protocol unchanged.
 ///
-/// `workers` means threads for [`LocalService`] and worker *processes*
-/// for the server.
+/// `workers` means threads for [`LocalService`]; a service with a
+/// [`Launcher`] (the server) sizes its executor pool itself.
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExecOptions {
-    /// Worker count (threads locally, processes on the server).
+    /// Worker threads (ignored by a service with a [`Launcher`]).
     pub workers: usize,
     /// Build the injection-time checkpoint cache (default `true`).
     pub checkpoint: bool,
@@ -57,8 +57,8 @@ pub struct ExecOptions {
     pub telemetry: TelemetryMode,
     /// Pre-injection pruning mode (default trace-based).
     pub pruning: Pruning,
-    /// Equivalence-class execution (default off; ignored by the
-    /// multi-process engine, whose rows are byte-identical either way).
+    /// Equivalence-class execution (default off). Rows are
+    /// byte-identical either way.
     pub class_execution: bool,
     /// Static verdict prediction: synthesise the rows of faults the
     /// propagation analysis proved wash out (default off; requires
@@ -227,9 +227,8 @@ pub struct JobSummary {
 }
 
 impl JobSummary {
-    /// An empty summary skeleton — callers fill the public fields. Used
-    /// when a summary is synthesized from stored rows rather than a
-    /// fresh [`CampaignResult`] (resume of a complete campaign, tests).
+    /// An empty summary skeleton — callers fill the public fields
+    /// ([`CampaignRunner::run_summary`], tests).
     pub fn new(campaign: impl Into<String>, workers: usize) -> JobSummary {
         JobSummary {
             campaign: campaign.into(),
@@ -240,29 +239,6 @@ impl JobSummary {
             stats: CampaignStats::default(),
             class_savings: None,
             telemetry: None,
-        }
-    }
-
-    /// Builds the summary of a finished [`CampaignResult`].
-    pub fn from_result(result: &CampaignResult, workers: usize) -> JobSummary {
-        let class_savings = result
-            .static_analysis
-            .as_ref()
-            .map(StaticAnalysis::class_savings)
-            .filter(|&(_, fanned)| fanned > 0)
-            .map(|(representatives, fanned)| ClassSavings {
-                representatives,
-                fanned,
-            });
-        JobSummary {
-            campaign: result.campaign.name.clone(),
-            workers,
-            experiments: result.runs.len(),
-            pruned: result.pruned(),
-            predicted: result.predicted(),
-            stats: result.stats.clone(),
-            class_savings,
-            telemetry: result.telemetry.clone(),
         }
     }
 }
@@ -669,13 +645,33 @@ pub type TargetFactory = Box<dyn Fn() -> Box<dyn TargetSystemInterface> + Send +
 /// provides the standard one).
 pub type FactoryProvider = Arc<dyn Fn(&Campaign) -> Result<TargetFactory> + Send + Sync>;
 
-/// [`CampaignService`] over the in-process [`CampaignRunner`]: each
-/// submitted job runs on a background thread against the service's
-/// database file, with journaled persistence and a final snapshot —
-/// exactly what `goofi run` did before the service existed.
+/// Starts a job's chunk executors outside the service's threads (the
+/// server's `goofi worker` processes). Without one, a [`LocalService`]
+/// runs each job on targets from its factory.
+pub trait Launcher: Send + Sync {
+    /// Experiment indices per chunk.
+    fn chunk(&self) -> usize;
+
+    /// Starts the executors of `job` (`campaign` with `options`) before
+    /// it plans; their lifecycle events go to `registry`. An error fails
+    /// the job.
+    fn launch(
+        &self,
+        registry: &Arc<JobRegistry>,
+        job: &str,
+        campaign: &Campaign,
+        options: &ExecOptions,
+    ) -> Result<Vec<Box<dyn ChunkExecutor>>>;
+}
+
+/// [`CampaignService`] over [`CampaignRunner`]: each submitted job runs
+/// on a background thread against the service's database file, with
+/// journaled persistence and a final snapshot. Experiments run on the
+/// factory's targets, or on the executors of a [`Launcher`].
 pub struct LocalService {
     db: PathBuf,
     provider: FactoryProvider,
+    launcher: Option<Arc<dyn Launcher>>,
     registry: Arc<JobRegistry>,
     controls: Arc<Mutex<HashMap<JobId, Arc<ControlHandle>>>>,
     threads: Vec<JoinHandle<()>>,
@@ -688,15 +684,18 @@ impl LocalService {
         LocalService {
             db: db.into(),
             provider,
+            launcher: None,
             registry: Arc::new(JobRegistry::new()),
             controls: Arc::new(Mutex::new(HashMap::new())),
             threads: Vec::new(),
         }
     }
 
-    /// The shared registry (servers wrap it; tests inspect it).
-    pub fn registry(&self) -> Arc<JobRegistry> {
-        self.registry.clone()
+    /// Runs every job's chunks on the executors `launcher` starts; the
+    /// provider's targets then only plan.
+    pub fn launcher(mut self, launcher: Arc<dyn Launcher>) -> LocalService {
+        self.launcher = Some(launcher);
+        self
     }
 
     /// Waits for every submitted job to finish.
@@ -757,12 +756,11 @@ impl CampaignService for LocalService {
 
         let registry = self.registry.clone();
         let db = self.db.clone();
+        let launcher = self.launcher.clone();
         let id = job.clone();
-        let options = spec.options.clone();
-        let resume = spec.resume;
         self.threads.push(std::thread::spawn(move || {
             run_local_job(
-                &registry, &id, &db, &campaign, factory, &options, resume, controller, &handle,
+                &registry, &id, &db, &campaign, factory, &launcher, &spec, controller, &handle,
             );
         }));
         Ok(job)
@@ -793,9 +791,9 @@ impl CampaignService for LocalService {
     }
 }
 
-/// One local job, on its own thread: open the store, journal, run the
-/// campaign with a progress forwarder pumping runner events into the
-/// registry, snapshot, and emit the terminal event.
+/// One job, on its own thread: open the store, journal, launch any
+/// executors, run the campaign with a progress forwarder pumping runner
+/// events into the registry, snapshot, and emit the terminal event.
 #[allow(clippy::too_many_arguments)]
 fn run_local_job(
     registry: &Arc<JobRegistry>,
@@ -803,8 +801,8 @@ fn run_local_job(
     db: &Path,
     campaign: &Campaign,
     factory: TargetFactory,
-    options: &ExecOptions,
-    resume: bool,
+    launcher: &Option<Arc<dyn Launcher>>,
+    spec: &JobSpec,
     controller: Controller,
     handle: &Arc<ControlHandle>,
 ) {
@@ -826,19 +824,24 @@ fn run_local_job(
     let outcome = (|| -> Result<JobSummary> {
         let mut store = LocalService::load_store(db)?;
         store.enable_journal(db)?;
-        let runner = CampaignRunner::from_factory(|| factory(), campaign)
+        let options = &spec.options;
+        let mut runner = CampaignRunner::from_factory(|| factory(), campaign)
             .workers(options.workers)
             .options(options.run_options())
             .observer(&controller);
-        let runner = if resume {
+        if let Some(launcher) = launcher {
+            let executors = launcher.launch(registry, job, campaign, options)?;
+            runner = runner.executors(executors, launcher.chunk());
+        }
+        let runner = if spec.resume {
             runner.resume_from(&mut store)
         } else {
             runner.store(&mut store)
         };
-        let result = runner.run()?;
+        let summary = runner.run_summary()?;
         // Snapshot the full database; supersedes (and empties) the journal.
         store.save(db)?;
-        Ok(JobSummary::from_result(&result, options.workers))
+        Ok(summary)
     })();
 
     drop(controller);

@@ -2,9 +2,11 @@
 
 use crate::bits::StateVector;
 use crate::error::Result;
+use crate::staticanalysis::StaticAnalysis;
 use crate::target::{
     ChainInfo, FieldInfo, TargetEvent, TargetSystemConfig, TargetSystemInterface, TraceStep,
 };
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
@@ -190,6 +192,17 @@ impl TargetSystemInterface for MiniTarget {
 
     fn instructions_retired(&mut self) -> Result<u64> {
         Ok(self.now)
+    }
+
+    /// R0's first-touch windows (read at 5, overwritten at 10, halt at
+    /// 20): classes only, no dead or washout windows.
+    fn static_analysis(&mut self, horizon: u64) -> Result<StaticAnalysis> {
+        Ok(StaticAnalysis {
+            horizon,
+            steps: 20,
+            equiv: BTreeMap::from([("R0".to_owned(), vec![(0, 5), (6, 10), (11, 19)])]),
+            ..StaticAnalysis::default()
+        })
     }
 
     fn iterations_completed(&mut self) -> Result<u32> {

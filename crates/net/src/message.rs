@@ -8,7 +8,7 @@
 use crate::frame::{Frame, FrameKind, NetResult};
 use goofi_core::service::{ExecOptions, JobId, JobSpec, JobStatus, ServiceEvent};
 use goofi_core::store::ExperimentRecord;
-use goofi_core::{Campaign, StaticAnalysis};
+use goofi_core::Campaign;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -163,13 +163,15 @@ pub enum Event {
 #[non_exhaustive]
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum WorkerRequest {
-    /// Prepare the campaign: build the target, generate the fault list,
-    /// run the reference, build the checkpoint cache. Fault-list
-    /// generation is seeded, so every worker derives the identical plan.
+    /// Prepare the campaign: build the target and plan it — fault list,
+    /// pruning, prediction, class grouping, reference run, checkpoint
+    /// cache. Planning is seeded, so every worker derives the daemon's
+    /// decisions; chunks then hold only indices they leave to execution.
     Init {
         /// The campaign to prepare.
         campaign: Campaign,
-        /// Execution options (class execution is ignored by workers).
+        /// The job's execution options, planned exactly as the daemon
+        /// plans them.
         options: ExecOptions,
     },
     /// Execute a chunk of experiment indices.
@@ -203,20 +205,8 @@ pub enum WorkerResponse {
         /// The worker's OS process id (the kill -9 target in recovery
         /// drills).
         pid: u32,
-        /// Fault-list length.
+        /// Fault-list length, checked against the daemon's plan.
         experiments: usize,
-        /// The fault-free reference row (boxed: dominates the variant).
-        reference: Box<ExperimentRecord>,
-        /// Per-index prunability (identical on every worker).
-        prunable: Vec<bool>,
-        /// Per-index propagation-predicted verdicts (identical on every
-        /// worker; absent on the wire from older workers).
-        #[serde(default)]
-        predicted: Vec<bool>,
-        /// The static analysis to persist, when static pruning ran
-        /// (boxed: the washout and equivalence maps dominate the
-        /// variant).
-        static_analysis: Option<Box<StaticAnalysis>>,
     },
     /// A chunk finished; rows are in index order.
     ChunkDone {

@@ -5,13 +5,14 @@
 //! * [`Daemon`] — a loopback TCP server exposing any `CampaignService`
 //!   to remote clients: submit, status, watch (streamed events), cancel,
 //!   jobs, shutdown. Version mismatches are answered with typed errors.
-//! * [`ProcessService`] — the multi-process execution engine: each job's
-//!   fault list is chunked across `goofi worker` children; finished rows
-//!   stream through an index-ordered reorder buffer into the shared
-//!   database, which therefore matches a single-process run byte for
-//!   byte. A crashed (or `kill -9`ed) worker's chunk is re-issued and a
-//!   replacement spawned, riding the storage engine's WAL for
-//!   durability.
+//! * [`ProcessService`] — the daemon's campaign engine. One executor,
+//!   two chunk executors: a job runs exactly as a `LocalService` job
+//!   does (plan, executor pool, one ordered sink into the shared
+//!   database), with `goofi worker` child processes as its chunk
+//!   executors instead of in-process targets. The database therefore
+//!   matches a single-process run byte for byte. A crashed (or
+//!   `kill -9`ed) worker is respawned from the job's budget and its
+//!   chunk retried, riding the storage engine's WAL for durability.
 //! * [`worker_main`] — the worker-process entry point (frame loop over
 //!   stdin/stdout).
 

@@ -2,14 +2,12 @@
 //!
 //! A worker is a `goofi worker` child speaking [`WorkerRequest`] /
 //! [`WorkerResponse`] frames over its stdin/stdout pipes. It builds the
-//! target locally, derives the *identical* campaign plan every sibling
-//! derives (fault-list generation is seeded), and executes whatever
-//! index chunks the daemon hands it. Stdout belongs to the protocol —
-//! anything human-readable goes to stderr.
+//! target locally, derives the plan the daemon derives (planning is
+//! seeded), and executes whatever index chunks the daemon hands it.
+//! Stdout belongs to the protocol — anything human-readable goes to
+//! stderr.
 
-use goofi_core::{
-    plan_campaign, Campaign, CampaignPlan, Decision, ExecOptions, TargetSystemInterface,
-};
+use goofi_core::{plan_campaign, Campaign, CampaignPlan, ExecOptions, TargetSystemInterface};
 use goofi_net::{
     read_frame, write_frame, IndexedRecord, NetError, NetResult, WorkerRequest, WorkerResponse,
 };
@@ -23,37 +21,14 @@ struct WorkerState {
 }
 
 impl WorkerState {
-    fn init(
-        campaign: Campaign,
-        options: &ExecOptions,
-    ) -> goofi_core::Result<(WorkerState, WorkerResponse)> {
-        let factory = standard_factory(&campaign)?;
-        let mut target = factory();
+    fn init(campaign: Campaign, options: &ExecOptions) -> goofi_core::Result<WorkerState> {
+        let mut target = standard_factory(&campaign)?();
         let plan = plan_campaign(target.as_mut(), &campaign, &options.run_options())?;
-        let ready = WorkerResponse::Ready {
-            pid: std::process::id(),
-            experiments: plan.len(),
-            reference: Box::new(plan.reference_record(&campaign)),
-            prunable: plan
-                .decisions
-                .iter()
-                .map(|&d| d == Decision::Pruned)
-                .collect(),
-            predicted: plan
-                .decisions
-                .iter()
-                .map(|&d| d == Decision::Predicted)
-                .collect(),
-            static_analysis: plan.static_analysis.clone().map(Box::new),
-        };
-        Ok((
-            WorkerState {
-                target,
-                campaign,
-                plan,
-            },
-            ready,
-        ))
+        Ok(WorkerState {
+            target,
+            campaign,
+            plan,
+        })
     }
 
     fn run_chunk(&mut self, indices: &[usize]) -> goofi_core::Result<Vec<IndexedRecord>> {
@@ -90,9 +65,11 @@ pub fn worker_loop(r: &mut impl Read, w: &mut impl Write) -> NetResult<()> {
         let response = match WorkerRequest::from_frame(&frame)? {
             WorkerRequest::Init { campaign, options } => {
                 match WorkerState::init(campaign, &options) {
-                    Ok((st, ready)) => {
+                    Ok(st) => {
+                        let experiments = st.plan.len();
                         state = Some(st);
-                        ready
+                        let pid = std::process::id();
+                        WorkerResponse::Ready { pid, experiments }
                     }
                     Err(e) => WorkerResponse::Failed {
                         error: e.to_string(),

@@ -9,11 +9,12 @@
 //! as a plain `main` with one `eprintln` line per scenario.
 
 use goofi_core::{
-    Campaign, CampaignRef, CampaignRunner, CampaignService, FaultModel, GoofiStore, JobSpec,
-    LocationSelector, ServiceEvent, Technique,
+    Campaign, CampaignRef, CampaignRunner, CampaignService, ExecOptions, FaultModel, GoofiStore,
+    JobSpec, JobSummary, LocalService, LocationSelector, Pruning, ServiceEvent, Technique,
+    TelemetryMode,
 };
 use goofi_server::{ProcessService, ServerConfig};
-use goofi_targets::standard_factory;
+use goofi_targets::{standard_factory, standard_provider};
 use std::path::PathBuf;
 
 fn campaign(name: &str, experiments: usize) -> Campaign {
@@ -74,13 +75,56 @@ fn server_config(db: &PathBuf, workers: usize) -> ServerConfig {
     .chunk(5)
 }
 
-/// Any worker-process count produces the sequential run's database.
+/// The sort16 `R6` campaign with static pruning, prediction and class
+/// execution: most faults are decided without execution.
+fn r6_campaign() -> (Campaign, ExecOptions) {
+    let c = Campaign::builder("det-r6", "thor-card", "sort16")
+        .technique(Technique::Scifi)
+        .select(LocationSelector::Chain {
+            chain: "cpu".into(),
+            field: Some("R6".into()),
+        })
+        .fault_model(FaultModel::BitFlip)
+        .window(0, 1342)
+        .experiments(2000)
+        .seed(1)
+        .build()
+        .expect("valid campaign");
+    let options = ExecOptions::new()
+        .pruning(Pruning::Static)
+        .prediction(true)
+        .class_execution(true);
+    (c, options)
+}
+
+/// The in-process service's database and summary for `c` with `options`.
+fn local_run(c: &Campaign, options: &ExecOptions) -> (Vec<u8>, JobSummary) {
+    let path = tmp("local.db");
+    seeded_db(&path, c);
+    let mut svc = LocalService::new(&path, standard_provider());
+    let job = svc
+        .submit(JobSpec::new(CampaignRef::Name(c.name.clone())).options(options.clone()))
+        .expect("submit");
+    let summary = match svc.watch(&job, true).expect("watch").last() {
+        Some(ServiceEvent::Completed { summary }) => *summary,
+        other => panic!("in-process run did not complete: {other:?}"),
+    };
+    svc.join();
+    (std::fs::read(&path).unwrap(), summary)
+}
+
+/// Any worker-process count produces the in-process run's database and
+/// summary: the plain sequential run for default options, and the
+/// `LocalService` run for the static-pruning, prediction and
+/// class-execution options.
 fn multi_process_runs_are_byte_identical() {
-    let c = campaign("det-mp", 40);
-    let reference = sequential_bytes(&c);
+    let plain = campaign("det-mp", 40);
+    let plain_bytes = sequential_bytes(&plain);
     for workers in [1usize, 4] {
+        let c = &plain;
+        let reference = &plain_bytes;
         let db = tmp(&format!("mp{workers}.db"));
-        seeded_db(&db, &c);
+        seeded_db(&db, c);
         let mut svc = ProcessService::new(server_config(&db, workers));
         let job = svc
             .submit(JobSpec::new(CampaignRef::Name(c.name.clone())))
@@ -100,8 +144,47 @@ fn multi_process_runs_are_byte_identical() {
         svc.join();
         let bytes = std::fs::read(&db).unwrap();
         assert_eq!(
-            bytes, reference,
+            &bytes, reference,
             "{workers}-worker server DB differs from the sequential run"
+        );
+    }
+
+    let (c, options) = r6_campaign();
+    let (local_bytes, local) = local_run(&c, &options);
+    assert!(
+        local.pruned > 0 && local.predicted > 0 && local.class_savings.is_some(),
+        "the campaign must prune, predict and fan out: {local:?}"
+    );
+    for workers in [1usize, 4] {
+        let db = tmp(&format!("r6-{workers}.db"));
+        seeded_db(&db, &c);
+        let mut svc = ProcessService::new(server_config(&db, workers));
+        let job = svc
+            .submit(JobSpec::new(CampaignRef::Name(c.name.clone())).options(options.clone()))
+            .expect("submit");
+        let summary = match svc.watch(&job, true).expect("watch").last() {
+            Some(ServiceEvent::Completed { summary }) => summary,
+            other => panic!("{workers}-worker R6 run did not complete: {other:?}"),
+        };
+        svc.join();
+        assert_eq!(
+            (
+                &summary.stats,
+                summary.pruned,
+                summary.predicted,
+                summary.class_savings
+            ),
+            (
+                &local.stats,
+                local.pruned,
+                local.predicted,
+                local.class_savings
+            ),
+            "{workers}-worker R6 summary differs from the in-process run"
+        );
+        assert!(
+            std::fs::read(&db).unwrap() == local_bytes,
+            "{workers}-worker R6 server DB differs from the in-process run"
         );
     }
     eprintln!("server_recovery: multi_process_runs_are_byte_identical ... ok");
@@ -217,6 +300,47 @@ fn cancel_then_resume_completes() {
     eprintln!("server_recovery: cancel_then_resume_completes ... ok");
 }
 
+/// A job submitted with metrics telemetry records the daemon's layers —
+/// plan, store appends, one gauge set per worker driver — and persists
+/// the rollup next to its rows.
+fn telemetry_rollup_is_persisted() {
+    let c = campaign("det-tel", 40);
+    let db = tmp("telemetry.db");
+    seeded_db(&db, &c);
+    let mut svc = ProcessService::new(server_config(&db, 2));
+    let options = ExecOptions::new().telemetry(TelemetryMode::Metrics);
+    let job = svc
+        .submit(JobSpec::new(CampaignRef::Name(c.name.clone())).options(options))
+        .expect("submit");
+    let summary = match svc.watch(&job, true).expect("watch").last() {
+        Some(ServiceEvent::Completed { summary }) => summary,
+        other => panic!("telemetry job did not complete: {other:?}"),
+    };
+    svc.join();
+    let rollup = summary.telemetry.expect("the summary carries a rollup");
+    assert_eq!(rollup.workers, 2);
+    assert!(rollup
+        .phase(goofi_telemetry::names::PHASE_PREPARE)
+        .is_some());
+    assert_eq!(
+        rollup
+            .phase(goofi_telemetry::names::STORE_LOG_EXPERIMENT)
+            .map(|p| p.count),
+        Some(41),
+        "reference + 40 rows appended by the daemon"
+    );
+    assert_eq!(rollup.worker_stats.len(), 2, "one gauge set per driver");
+    let claimed: u64 = rollup.worker_stats.iter().map(|w| w.claimed).sum();
+    assert_eq!(claimed, 40, "every execution claimed once");
+    let store = GoofiStore::load(&db).unwrap();
+    assert_eq!(
+        store.get_telemetry(&c.name).unwrap().as_ref(),
+        Some(&rollup),
+        "the rollup is persisted"
+    );
+    eprintln!("server_recovery: telemetry_rollup_is_persisted ... ok");
+}
+
 fn main() {
     // The server spawns `<this binary> worker` children; route them to
     // the protocol loop before any test machinery runs.
@@ -226,6 +350,7 @@ fn main() {
     multi_process_runs_are_byte_identical();
     killed_worker_recovers_byte_identical();
     cancel_then_resume_completes();
+    telemetry_rollup_is_persisted();
     let dir = std::env::temp_dir().join(format!("goofi_srv_rec_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(dir);
     eprintln!("server_recovery: all scenarios ok");
