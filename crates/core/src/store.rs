@@ -14,9 +14,10 @@ use crate::campaign::Campaign;
 use crate::error::{GoofiError, Result};
 use crate::fault::PlannedFault;
 use crate::target::{TargetEvent, TargetSystemConfig};
-use goofi_db::storage::{is_paged_file, write_database, PagedEngine};
+use goofi_db::storage::{decode_row, encode_row, is_paged_file, write_database, PagedEngine};
 use goofi_db::{
-    journal_path, Column, Database, Delete, Expr, Insert, Select, TableSchema, Value, ValueType,
+    journal_path, Column, Database, Delete, Expr, Insert, Row, Select, TableSchema, Value,
+    ValueType,
 };
 use goofi_telemetry::{names, CampaignTelemetry};
 use serde::{Deserialize, Serialize};
@@ -58,6 +59,81 @@ pub struct ExperimentRecord {
 }
 
 impl ExperimentRecord {
+    /// The `LoggedSystemState` row: name, parent (or NULL), campaign,
+    /// `experimentData` JSON and the state-vector blob.
+    ///
+    /// # Errors
+    ///
+    /// [`GoofiError::Protocol`] if the payload does not serialise.
+    pub fn to_row(&self) -> Result<Row> {
+        let data = serde_json::to_string(&self.data)
+            .map_err(|e| GoofiError::Protocol(format!("experiment serialisation failed: {e}")))?;
+        Ok(vec![
+            self.name.as_str().into(),
+            self.parent.as_deref().map_or(Value::Null, Value::from),
+            self.campaign.as_str().into(),
+            data.into(),
+            self.state_vector.clone().into(),
+        ])
+    }
+
+    /// Parses a row produced by [`ExperimentRecord::to_row`].
+    ///
+    /// # Errors
+    ///
+    /// [`GoofiError::Protocol`] for a row of the wrong width, a value of
+    /// the wrong type, or a corrupt `experimentData` payload.
+    pub fn from_row(row: &[Value]) -> Result<ExperimentRecord> {
+        let [name, parent, campaign, data, state_vector] = row else {
+            return Err(GoofiError::Protocol(format!(
+                "experiment row has {} values, expected 5",
+                row.len()
+            )));
+        };
+        fn text<'a>(v: &'a Value, column: &str) -> Result<&'a str> {
+            v.as_text()
+                .ok_or_else(|| GoofiError::Protocol(format!("{column} not text")))
+        }
+        let parent = match parent {
+            Value::Null => None,
+            v => Some(text(v, "parentExperiment")?.to_owned()),
+        };
+        let state_vector = match state_vector {
+            Value::Null => Vec::new(),
+            Value::Blob(bytes) => bytes.clone(),
+            _ => return Err(GoofiError::Protocol("stateVector not a blob".into())),
+        };
+        Ok(ExperimentRecord {
+            name: text(name, "experimentName")?.to_owned(),
+            parent,
+            campaign: text(campaign, "campaignName")?.to_owned(),
+            data: serde_json::from_str(text(data, "experimentData")?)
+                .map_err(|e| GoofiError::Protocol(format!("corrupt experimentData: {e}")))?,
+            state_vector,
+        })
+    }
+
+    /// The row in the storage engine's binary row codec, as heap cells
+    /// and WAL payloads hold it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ExperimentRecord::to_row`].
+    pub fn to_bytes(&self) -> Result<Vec<u8>> {
+        Ok(encode_row(&self.to_row()?))
+    }
+
+    /// Parses bytes produced by [`ExperimentRecord::to_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`GoofiError::Protocol`] for bytes that are not one well-formed
+    /// row, or as [`ExperimentRecord::from_row`].
+    pub fn from_bytes(bytes: &[u8]) -> Result<ExperimentRecord> {
+        let row = decode_row(bytes).map_err(|e| GoofiError::Protocol(e.to_string()))?;
+        ExperimentRecord::from_row(&row)
+    }
+
     /// Reconstructs the in-memory run view from a stored row, so all the
     /// analysis helpers (sensitivity, latency, propagation) work on
     /// database contents.
@@ -464,19 +540,7 @@ impl GoofiStore {
     /// (for detail re-runs) the parent experiment to exist.
     pub fn log_experiment(&mut self, record: &ExperimentRecord) -> Result<()> {
         let _s = tracing::span(names::STORE_LOG_EXPERIMENT);
-        let data = serde_json::to_string(&record.data)
-            .map_err(|e| GoofiError::Protocol(format!("experiment serialisation failed: {e}")))?;
-        let row = vec![
-            record.name.as_str().into(),
-            record
-                .parent
-                .as_deref()
-                .map(Value::from)
-                .unwrap_or(Value::Null),
-            record.campaign.as_str().into(),
-            data.into(),
-            record.state_vector.clone().into(),
-        ];
+        let row = record.to_row()?;
         self.db
             .insert(Insert::into("LoggedSystemState", row.clone()))?;
         if let Some(engine) = self.engine.as_mut() {
@@ -499,7 +563,7 @@ impl GoofiStore {
             .rows
             .first()
             .ok_or_else(|| GoofiError::Protocol(format!("no experiment `{name}`")))?;
-        Self::row_to_record(row)
+        ExperimentRecord::from_row(row)
     }
 
     /// All experiments of a campaign, reference run first, then by name.
@@ -513,7 +577,10 @@ impl GoofiStore {
                 .filter(Expr::col("campaignName").eq(Expr::lit(campaign)))
                 .order_by(Expr::col("experimentName"), goofi_db::SortOrder::Asc),
         )?;
-        rs.rows.iter().map(|r| Self::row_to_record(r)).collect()
+        rs.rows
+            .iter()
+            .map(|r| ExperimentRecord::from_row(r))
+            .collect()
     }
 
     // ------------------------------------------------------------------
@@ -669,32 +736,6 @@ impl GoofiStore {
         }
         Ok(())
     }
-
-    fn row_to_record(row: &[Value]) -> Result<ExperimentRecord> {
-        let name = row[0]
-            .as_text()
-            .ok_or_else(|| GoofiError::Protocol("experimentName not text".into()))?
-            .to_owned();
-        let parent = row[1].as_text().map(str::to_owned);
-        let campaign = row[2]
-            .as_text()
-            .ok_or_else(|| GoofiError::Protocol("campaignName not text".into()))?
-            .to_owned();
-        let data: ExperimentData = serde_json::from_str(
-            row[3]
-                .as_text()
-                .ok_or_else(|| GoofiError::Protocol("experimentData not text".into()))?,
-        )
-        .map_err(|e| GoofiError::Protocol(format!("corrupt experimentData: {e}")))?;
-        let state_vector = row[4].as_blob().map(<[u8]>::to_vec).unwrap_or_default();
-        Ok(ExperimentRecord {
-            name,
-            parent,
-            campaign,
-            data,
-            state_vector,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -788,6 +829,29 @@ mod tests {
             .log_experiment(&record("c1/002", Some("c1/does-not-exist")))
             .unwrap_err();
         assert!(matches!(err, GoofiError::Database(_)));
+    }
+
+    #[test]
+    fn record_row_conversion_roundtrips_and_rejects_short_rows() {
+        let mut rec = record("c1/001-detail", Some("c1/001"));
+        rec.data.detail_trace = Some(vec![vec![1, 2], Vec::new(), vec![0xff; 40]]);
+        rec.state_vector = (0..=255).cycle().take(1700).collect();
+        let row = rec.to_row().unwrap();
+        assert_eq!(ExperimentRecord::from_row(&row).unwrap(), rec);
+        let bytes = rec.to_bytes().unwrap();
+        assert_eq!(ExperimentRecord::from_bytes(&bytes).unwrap(), rec);
+
+        let short = &row[..3];
+        assert!(matches!(
+            ExperimentRecord::from_row(short),
+            Err(GoofiError::Protocol(_))
+        ));
+        let short = goofi_db::storage::encode_row(&short.to_vec());
+        assert!(matches!(
+            ExperimentRecord::from_bytes(&short),
+            Err(GoofiError::Protocol(_))
+        ));
+        assert!(ExperimentRecord::from_bytes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

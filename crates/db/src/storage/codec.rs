@@ -84,7 +84,7 @@ pub(crate) fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, DbError
 }
 
 /// Encodes a whole row: `u16` value count followed by the values.
-pub(crate) fn encode_row(row: &Row) -> Vec<u8> {
+pub fn encode_row(row: &Row) -> Vec<u8> {
     let mut out = Vec::with_capacity(16 + row.len() * 8);
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
@@ -95,11 +95,17 @@ pub(crate) fn encode_row(row: &Row) -> Vec<u8> {
 
 /// Decodes a row previously produced by [`encode_row`]; the entire
 /// buffer must be consumed.
-pub(crate) fn decode_row(buf: &[u8]) -> Result<Row, DbError> {
+///
+/// # Errors
+///
+/// [`DbError::Io`] for truncated, trailing or malformed bytes.
+pub fn decode_row(buf: &[u8]) -> Result<Row, DbError> {
     let mut pos = 0usize;
     let b: [u8; 2] = take(buf, &mut pos, 2)?.try_into().expect("2 bytes");
     let count = u16::from_le_bytes(b) as usize;
-    let mut row = Vec::with_capacity(count);
+    // Every value takes at least its tag byte, so a declared count
+    // beyond the bytes left is corrupt; never reserve past them.
+    let mut row = Vec::with_capacity(count.min(buf.len() - pos));
     for _ in 0..count {
         row.push(decode_value(buf, &mut pos)?);
     }

@@ -19,6 +19,10 @@
 //!   lookups inside the engine and for the declared secondary indexes
 //!   on [`crate::Table`].
 //!
+//! [`encode_row`]/[`decode_row`] is the binary row codec of heap cells
+//! and WAL payloads; the campaign service's worker pipe reuses it for
+//! experiment rows.
+//!
 //! See `DESIGN.md` §storage for the page format, the WAL record
 //! layout, the checkpoint protocol and the recovery invariants.
 
@@ -33,6 +37,7 @@ mod wal;
 
 pub use btree::BTree;
 pub use buffer::BufferPool;
+pub use codec::{decode_row, encode_row};
 pub use disk::DiskManager;
 pub use engine::{is_paged_file, wal_path, write_database, EngineStats, PagedEngine, TableStats};
 pub use page::{crc32, PageId, PAGE_SIZE};

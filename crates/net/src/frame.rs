@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 /// The protocol version this build speaks. Bumped only when existing
 /// frame or message encodings change; new message kinds are additive
 /// (the enums are `#[non_exhaustive]`).
-pub const PROTOCOL_VERSION: u16 = 2;
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on a frame's payload length. Larger declared lengths are
 /// rejected before any allocation — a corrupted length field must not
@@ -32,6 +32,9 @@ pub enum FrameKind {
     WorkerRequest,
     /// Worker process → daemon reply.
     WorkerResponse,
+    /// Worker process → daemon `ChunkDone` rows, in the storage engine's
+    /// binary row codec rather than JSON.
+    Rows,
 }
 
 impl FrameKind {
@@ -42,6 +45,7 @@ impl FrameKind {
             FrameKind::Event => 3,
             FrameKind::WorkerRequest => 4,
             FrameKind::WorkerResponse => 5,
+            FrameKind::Rows => 6,
         }
     }
 
@@ -52,6 +56,7 @@ impl FrameKind {
             3 => FrameKind::Event,
             4 => FrameKind::WorkerRequest,
             5 => FrameKind::WorkerResponse,
+            6 => FrameKind::Rows,
             _ => return None,
         })
     }
@@ -192,10 +197,14 @@ impl Frame {
     /// when the encoded message exceeds [`MAX_FRAME_LEN`].
     pub fn encode_msg<T: Serialize>(kind: FrameKind, msg: &T) -> NetResult<Frame> {
         let json = serde_json::to_string(msg).map_err(|e| NetError::Codec(e.to_string()))?;
-        let payload = json.into_bytes();
-        if payload.len() as u64 > MAX_FRAME_LEN as u64 {
+        Frame::bounded(kind, json.into_bytes())
+    }
+
+    /// A new frame, refusing payloads over [`MAX_FRAME_LEN`].
+    pub(crate) fn bounded(kind: FrameKind, payload: Vec<u8>) -> NetResult<Frame> {
+        if payload.len() > MAX_FRAME_LEN as usize {
             return Err(NetError::TooLarge {
-                len: payload.len() as u32,
+                len: u32::try_from(payload.len()).unwrap_or(u32::MAX),
                 max: MAX_FRAME_LEN,
             });
         }
@@ -211,6 +220,14 @@ impl Frame {
     /// version, [`NetError::WrongKind`] for mismatched frame kinds and
     /// [`NetError::Codec`] for undecodable payloads.
     pub fn decode_msg<T: Deserialize>(&self, kind: FrameKind) -> NetResult<T> {
+        self.expect(kind)?;
+        let text = std::str::from_utf8(&self.payload)
+            .map_err(|e| NetError::Codec(format!("payload is not UTF-8: {e}")))?;
+        serde_json::from_str(text).map_err(|e| NetError::Codec(e.to_string()))
+    }
+
+    /// Checks that this frame speaks [`PROTOCOL_VERSION`] and is of `kind`.
+    pub(crate) fn expect(&self, kind: FrameKind) -> NetResult<()> {
         if self.version != PROTOCOL_VERSION {
             return Err(NetError::VersionMismatch {
                 got: self.version,
@@ -223,14 +240,17 @@ impl Frame {
                 got: self.kind,
             });
         }
-        let text = std::str::from_utf8(&self.payload)
-            .map_err(|e| NetError::Codec(format!("payload is not UTF-8: {e}")))?;
-        serde_json::from_str(text).map_err(|e| NetError::Codec(e.to_string()))
+        Ok(())
+    }
+
+    /// Bytes this frame occupies on the wire, header included.
+    pub fn wire_len(&self) -> usize {
+        HEADER_LEN + self.payload.len()
     }
 
     /// The frame's full wire encoding.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len());
+        let mut out = Vec::with_capacity(self.wire_len());
         out.extend_from_slice(&MAGIC);
         out.extend_from_slice(&self.version.to_le_bytes());
         out.push(self.kind.to_u8());

@@ -6,7 +6,7 @@
 //!
 //! ```text
 //! +------+---------+------+---------+---------+----------------+
-//! | GFRM | version | kind |   len   |  crc32  |  payload JSON  |
+//! | GFRM | version | kind |   len   |  crc32  |    payload     |
 //! | 4 B  |  u16 LE | u8   | u32 LE  | u32 LE  |  len bytes     |
 //! +------+---------+------+---------+---------+----------------+
 //! ```
@@ -16,12 +16,15 @@
 //! * the header version lets the server reject a mismatched peer with a
 //!   *typed* [`WireError::VersionMismatch`] response instead of a decode
 //!   failure (the header is version-independent by construction);
-//! * the CRC32 catches truncated or corrupted payloads before any JSON
-//!   parsing sees them — [`NetError::CorruptPayload`], never a panic;
-//! * payloads are serde-encoded message enums: [`Request`]/[`Response`]
+//! * the CRC32 catches truncated or corrupted payloads before any
+//!   decoder sees them — [`NetError::CorruptPayload`], never a panic;
+//! * payloads are JSON-encoded message enums: [`Request`]/[`Response`]
 //!   between clients and the daemon (with [`Event`] frames streamed for
 //!   `watch`), [`WorkerRequest`]/[`WorkerResponse`] between the daemon
-//!   and its worker children over stdin/stdout pipes.
+//!   and its worker children over stdin/stdout pipes. The one exception
+//!   is the hot path: [`WorkerResponse::ChunkDone`] travels as a
+//!   [`FrameKind::Rows`] frame whose experiment rows are in the storage
+//!   engine's binary row codec.
 //!
 //! The message enums are `#[non_exhaustive]` and constitute the single
 //! public protocol API: new message kinds are additive, and

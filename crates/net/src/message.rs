@@ -5,7 +5,7 @@
 //! [`WireError`]); changing an existing encoding bumps
 //! [`crate::PROTOCOL_VERSION`].
 
-use crate::frame::{Frame, FrameKind, NetResult};
+use crate::frame::{Frame, FrameKind, NetError, NetResult};
 use goofi_core::service::{ExecOptions, JobId, JobSpec, JobStatus, ServiceEvent};
 use goofi_core::store::ExperimentRecord;
 use goofi_core::Campaign;
@@ -188,7 +188,7 @@ pub enum WorkerRequest {
 /// One experiment row tagged with its fault-list index, so the server's
 /// reorder buffer can stream rows to the store in fault-list order no
 /// matter which worker finished first.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IndexedRecord {
     /// Fault-list index.
     pub index: usize,
@@ -197,8 +197,10 @@ pub struct IndexedRecord {
 }
 
 /// Worker process → daemon replies (over the child's stdout).
+/// `ChunkDone` travels as a [`FrameKind::Rows`] frame, the other replies
+/// as JSON [`FrameKind::WorkerResponse`] frames.
 #[non_exhaustive]
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum WorkerResponse {
     /// Preparation finished; the worker is ready for chunks.
     Ready {
@@ -254,4 +256,127 @@ frame_convertible!(Request, FrameKind::Request);
 frame_convertible!(Response, FrameKind::Response);
 frame_convertible!(Event, FrameKind::Event);
 frame_convertible!(WorkerRequest, FrameKind::WorkerRequest);
-frame_convertible!(WorkerResponse, FrameKind::WorkerResponse);
+
+/// The [`WorkerResponse`] replies that travel as JSON.
+#[derive(Serialize, Deserialize)]
+enum JsonResponse {
+    Ready { pid: u32, experiments: usize },
+    Failed { error: String },
+}
+
+/// Bytes before each row's codec bytes in a `Rows` payload: index `u64`
+/// and length `u32`.
+const ROW_HEADER_LEN: usize = 8 + 4;
+
+impl WorkerResponse {
+    /// Encodes this reply as a wire frame: `ChunkDone` as a
+    /// [`FrameKind::Rows`] frame whose payload is
+    /// `id u64 | count u32 | (index u64 | len u32 | row bytes)*` (all
+    /// little-endian, row bytes in the storage engine's row codec), the
+    /// other replies as JSON.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::Codec`] / [`NetError::TooLarge`].
+    pub fn to_frame(&self) -> NetResult<Frame> {
+        let json = match self {
+            WorkerResponse::ChunkDone { id, rows } => return rows_frame(*id, rows),
+            WorkerResponse::Ready { pid, experiments } => JsonResponse::Ready {
+                pid: *pid,
+                experiments: *experiments,
+            },
+            WorkerResponse::Failed { error } => JsonResponse::Failed {
+                error: error.clone(),
+            },
+        };
+        Frame::encode_msg(FrameKind::WorkerResponse, &json)
+    }
+
+    /// Decodes a reply, choosing the decoder by the frame's kind,
+    /// enforcing the version check.
+    ///
+    /// # Errors
+    ///
+    /// [`NetError::VersionMismatch`], [`NetError::WrongKind`] or
+    /// [`NetError::Codec`].
+    pub fn from_frame(frame: &Frame) -> NetResult<WorkerResponse> {
+        if frame.kind == FrameKind::Rows {
+            frame.expect(FrameKind::Rows)?;
+            return rows_from_payload(&frame.payload);
+        }
+        Ok(match frame.decode_msg(FrameKind::WorkerResponse)? {
+            JsonResponse::Ready { pid, experiments } => WorkerResponse::Ready { pid, experiments },
+            JsonResponse::Failed { error } => WorkerResponse::Failed { error },
+        })
+    }
+}
+
+fn codec(e: impl fmt::Display) -> NetError {
+    NetError::Codec(e.to_string())
+}
+
+fn rows_frame(id: u64, rows: &[IndexedRecord]) -> NetResult<Frame> {
+    let u32_len = |n: usize| u32::try_from(n).map_err(|_| codec("rows payload over 4 GiB"));
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&id.to_le_bytes());
+    payload.extend_from_slice(&u32_len(rows.len())?.to_le_bytes());
+    for row in rows {
+        let bytes = row.record.to_bytes().map_err(codec)?;
+        payload.extend_from_slice(&(row.index as u64).to_le_bytes());
+        payload.extend_from_slice(&u32_len(bytes.len())?.to_le_bytes());
+        payload.extend_from_slice(&bytes);
+    }
+    Frame::bounded(FrameKind::Rows, payload)
+}
+
+/// A `Rows` payload being read; every read checks the bytes left first.
+struct Cursor<'a>(&'a [u8]);
+
+impl<'a> Cursor<'a> {
+    fn take(&mut self, n: usize) -> NetResult<&'a [u8]> {
+        if self.0.len() < n {
+            return Err(codec(format!(
+                "rows payload truncated: {n} bytes wanted, {} left",
+                self.0.len()
+            )));
+        }
+        let (head, rest) = self.0.split_at(n);
+        self.0 = rest;
+        Ok(head)
+    }
+
+    fn u32(&mut self) -> NetResult<u32> {
+        Ok(u32::from_le_bytes(
+            self.take(4)?.try_into().expect("4 bytes"),
+        ))
+    }
+
+    fn u64(&mut self) -> NetResult<u64> {
+        Ok(u64::from_le_bytes(
+            self.take(8)?.try_into().expect("8 bytes"),
+        ))
+    }
+}
+
+fn rows_from_payload(payload: &[u8]) -> NetResult<WorkerResponse> {
+    let mut cur = Cursor(payload);
+    let id = cur.u64()?;
+    let count = cur.u32()? as usize;
+    if count > cur.0.len() / ROW_HEADER_LEN {
+        return Err(codec(format!(
+            "rows payload declares {count} rows in {} bytes",
+            cur.0.len()
+        )));
+    }
+    let mut rows = Vec::with_capacity(count);
+    for _ in 0..count {
+        let index = usize::try_from(cur.u64()?).map_err(codec)?;
+        let len = cur.u32()? as usize;
+        let record = ExperimentRecord::from_bytes(cur.take(len)?).map_err(codec)?;
+        rows.push(IndexedRecord { index, record });
+    }
+    if !cur.0.is_empty() {
+        return Err(codec(format!("{} bytes after the last row", cur.0.len())));
+    }
+    Ok(WorkerResponse::ChunkDone { id, rows })
+}

@@ -7,10 +7,10 @@ use goofi_core::service::{
     CampaignRef, ClassSavings, ExecOptions, JobSpec, JobStatus, JobSummary, ServiceEvent,
 };
 use goofi_core::store::{ExperimentData, ExperimentRecord};
-use goofi_core::{Campaign, LocationSelector, TargetEvent};
+use goofi_core::{Campaign, FaultModel, Location, LocationSelector, PlannedFault, TargetEvent};
 use goofi_net::{
-    read_frame, Event, Frame, IndexedRecord, JobListEntry, NetError, Request, Response, WireError,
-    WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
+    read_frame, Event, Frame, FrameKind, IndexedRecord, JobListEntry, NetError, Request, Response,
+    WireError, WorkerRequest, WorkerResponse, PROTOCOL_VERSION,
 };
 use proptest::prelude::*;
 
@@ -62,27 +62,57 @@ fn arb_spec() -> impl Strategy<Value = JobSpec> {
         })
 }
 
+fn arb_fault() -> impl Strategy<Value = Option<PlannedFault>> {
+    (
+        any::<bool>(),
+        arb_name(),
+        0usize..4096,
+        prop::collection::vec(any::<u64>(), 1..3),
+    )
+        .prop_map(|(some, chain, bit, times)| {
+            some.then(|| PlannedFault {
+                model: FaultModel::BitFlip,
+                targets: vec![Location::ChainBit { chain, bit }],
+                times,
+            })
+        })
+}
+
+/// Rows as the worker sends them: reference and injected runs, detail
+/// re-runs with a parent and a state trace, state vectors up to 2 KiB.
 fn arb_record() -> impl Strategy<Value = ExperimentRecord> {
     (
-        arb_name(),
-        arb_name(),
-        prop::collection::vec(any::<u32>(), 0..4),
-        prop::collection::vec(any::<u8>(), 0..16),
-        any::<u32>(),
-        any::<u64>(),
+        (arb_name(), (any::<bool>(), arb_name()), arb_name()),
+        (
+            prop::collection::vec(any::<u32>(), 0..4),
+            any::<u32>(),
+            any::<u64>(),
+        ),
+        arb_fault(),
+        (
+            any::<bool>(),
+            prop::collection::vec(prop::collection::vec(any::<u8>(), 0..24), 0..4),
+        ),
+        prop::collection::vec(any::<u8>(), 0..2049),
     )
         .prop_map(
-            |(name, campaign, outputs, state_vector, iterations, instructions)| ExperimentRecord {
+            |(
+                (name, (has_parent, parent), campaign),
+                (outputs, iterations, instructions),
+                fault,
+                (detailed, trace),
+                state_vector,
+            )| ExperimentRecord {
                 name,
-                parent: None,
+                parent: has_parent.then_some(parent),
                 campaign,
                 data: ExperimentData {
-                    fault: None,
+                    fault,
                     termination: TargetEvent::Halted,
                     outputs,
                     iterations,
                     instructions,
-                    detail_trace: None,
+                    detail_trace: detailed.then_some(trace),
                 },
                 state_vector,
             },
@@ -308,6 +338,56 @@ proptest! {
             ) => {}
             Err(other) => prop_assert!(false, "untyped error at {}: {:?}", pos, other),
             Ok(back) => prop_assert!(false, "corrupt byte at {} decoded silently: {:?}", pos, back),
+        }
+    }
+
+    /// A `ChunkDone` payload damaged past the CRC (the frame is rebuilt
+    /// around the damaged bytes) reaches the row decoder, which answers
+    /// with a typed error, never a panic and never an allocation sized by
+    /// a declared count or length it has not checked against the bytes
+    /// left. A flipped byte inside a row's values may still decode, but
+    /// never as the original message.
+    #[test]
+    fn rows_damage_yields_typed_errors(
+        rows in prop::collection::vec((0usize..1000, arb_record()), 1..4),
+        damage in 0u8..4,
+        frac in 0usize..1000,
+        flip in 1u8..=255,
+    ) {
+        let msg = WorkerResponse::ChunkDone {
+            id: 7,
+            rows: rows
+                .into_iter()
+                .map(|(index, record)| IndexedRecord { index, record })
+                .collect(),
+        };
+        let frame = msg.to_frame().expect("encodes");
+        prop_assert_eq!(frame.kind, FrameKind::Rows);
+        let mut payload = frame.payload;
+        let pos = payload.len() * frac / 1000;
+        match damage {
+            0 => payload.truncate(pos),
+            1 => payload[pos] ^= flip,
+            2 => payload[8..12].copy_from_slice(&u32::MAX.to_le_bytes()),
+            _ => {
+                // The `len` field of a row chosen by `frac`.
+                let WorkerResponse::ChunkDone { rows, .. } = &msg else { unreachable!() };
+                let mut at = 12;
+                for row in &rows[..frac % rows.len()] {
+                    at += 12 + row.record.to_bytes().expect("encodes").len();
+                }
+                payload[at + 8..at + 12].copy_from_slice(&u32::MAX.to_le_bytes());
+            }
+        }
+        let bytes = Frame::new(FrameKind::Rows, payload).encode();
+        let (frame, _) = Frame::decode(&bytes).expect("the CRC matches the damage");
+        match WorkerResponse::from_frame(&frame) {
+            Err(NetError::Codec(_)) => {}
+            Err(other) => prop_assert!(false, "damage {}: untyped error {:?}", damage, other),
+            Ok(back) => {
+                prop_assert_eq!(damage, 1, "damage {} decoded: {:?}", damage, back);
+                prop_assert_ne!(back, msg);
+            }
         }
     }
 

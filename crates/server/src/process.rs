@@ -4,7 +4,10 @@
 //! derives the same seeded plan, and answers `RunChunk` for the indices
 //! the daemon's plan leaves to execution. A worker whose pipe dies (a
 //! crash, a `kill -9`) is respawned from the job's `max_respawns` budget
-//! and its chunk retried; once the budget is spent the job fails.
+//! and its chunk retried; once the budget is spent the job fails. A
+//! reply that arrives whole but does not decode, or is not the reply
+//! asked for, is a protocol fault a respawn would only repeat: it fails
+//! the job at once.
 
 use goofi_core::service::{
     CampaignService, EventStream, JobId, JobRegistry, JobSpec, JobStatus, Launcher, ServiceEvent,
@@ -15,6 +18,7 @@ use goofi_core::{
 };
 use goofi_net::{read_frame, write_frame, Frame, WorkerRequest, WorkerResponse};
 use goofi_targets::standard_provider;
+use goofi_telemetry::names;
 use std::path::PathBuf;
 use std::process::{Child, ChildStdin, ChildStdout, Command, Stdio};
 use std::sync::atomic::Ordering::SeqCst;
@@ -197,18 +201,30 @@ impl Worker {
         })
     }
 
-    /// Sends `request` (if any) and reads the reply; `None` if the pipe died.
-    fn exchange(&mut self, request: Option<&Frame>) -> Option<WorkerResponse> {
+    /// Sends `request` (if any) and reads the reply; `Ok(None)` if the
+    /// pipe died or the frame came apart on the way (EOF, I/O, a
+    /// truncated or corrupt frame). A whole frame that does not decode is
+    /// an error.
+    fn exchange(&mut self, request: Option<&Frame>) -> Result<Option<WorkerResponse>> {
         if let Some(frame) = request {
-            write_frame(&mut self.stdin, frame).ok()?;
+            if write_frame(&mut self.stdin, frame).is_err() {
+                return Ok(None);
+            }
         }
-        WorkerResponse::from_frame(&read_frame(&mut self.stdout).ok()?).ok()
+        let Ok(frame) = read_frame(&mut self.stdout) else {
+            return Ok(None);
+        };
+        tracing::value(names::NET_BYTES, frame.wire_len() as u64);
+        let _s = tracing::span(names::NET_DECODE);
+        WorkerResponse::from_frame(&frame)
+            .map(Some)
+            .map_err(|e| GoofiError::Service(format!("worker {} sent a bad reply: {e}", self.slot)))
     }
 
     /// Awaits `Ready` and announces the worker, respawning dead ones.
     fn await_ready(&mut self, plan: &CampaignPlan) -> Result<()> {
         loop {
-            match self.exchange(None) {
+            match self.exchange(None)? {
                 Some(WorkerResponse::Ready { pid, experiments }) => {
                     if experiments != plan.len() {
                         return Err(GoofiError::Service(format!(
@@ -224,7 +240,8 @@ impl Worker {
                     return Ok(());
                 }
                 Some(WorkerResponse::Failed { error }) => return Err(GoofiError::Service(error)),
-                _ => self.respawn(0)?,
+                Some(_) => return Err(protocol("worker answered Init with another reply")),
+                None => self.respawn(0)?,
             }
         }
     }
@@ -268,7 +285,7 @@ impl ChunkExecutor for Worker {
         };
         let request = request.to_frame().map_err(protocol)?;
         loop {
-            match self.exchange(Some(&request)) {
+            match self.exchange(Some(&request))? {
                 Some(WorkerResponse::ChunkDone { rows, .. }) => {
                     if !rows.iter().map(|r| r.index).eq(indices.iter().copied()) {
                         return Err(protocol("worker answered a chunk with other experiments"));
@@ -276,7 +293,8 @@ impl ChunkExecutor for Worker {
                     return Ok(rows.iter().map(|r| r.record.to_run()).collect());
                 }
                 Some(WorkerResponse::Failed { error }) => return Err(GoofiError::Service(error)),
-                _ => {
+                Some(_) => return Err(protocol("worker answered RunChunk with another reply")),
+                None => {
                     self.respawn(indices.len())?;
                     self.await_ready(plan)?;
                 }

@@ -88,6 +88,13 @@ pub mod names {
     /// `goofi-db`).
     pub const STORE_CHECKPOINT: &str = "checkpoint";
 
+    /// Decoding one worker reply frame into its message (emitted by the
+    /// daemon's process executor).
+    pub const NET_DECODE: &str = "net.decode";
+    /// Value: bytes of one worker reply frame, header included (emitted
+    /// by the daemon's process executor).
+    pub const NET_BYTES: &str = "net.bytes";
+
     /// Counter: experiments that fell back to a cold start because a
     /// checkpoint restore was unavailable or failed.
     pub const COUNTER_CHECKPOINT_COLD: &str = "checkpoint.cold_fallback";

@@ -9,10 +9,11 @@
 //! as a plain `main` with one `eprintln` line per scenario.
 
 use goofi_core::{
-    Campaign, CampaignRef, CampaignRunner, CampaignService, ExecOptions, FaultModel, GoofiStore,
-    JobSpec, JobSummary, LocalService, LocationSelector, Pruning, ServiceEvent, Technique,
-    TelemetryMode,
+    Campaign, CampaignRef, CampaignRunner, CampaignService, ExecOptions, ExperimentData,
+    ExperimentRecord, FaultModel, GoofiStore, JobSpec, JobSummary, LocalService, LocationSelector,
+    Pruning, ServiceEvent, TargetEvent, Technique, TelemetryMode,
 };
+use goofi_net::{read_frame, write_frame, IndexedRecord, WorkerRequest, WorkerResponse};
 use goofi_server::{ProcessService, ServerConfig};
 use goofi_targets::{standard_factory, standard_provider};
 use std::path::PathBuf;
@@ -66,13 +67,15 @@ fn sequential_bytes(c: &Campaign) -> Vec<u8> {
 }
 
 fn server_config(db: &PathBuf, workers: usize) -> ServerConfig {
+    worker_config(db, workers, "worker")
+}
+
+/// A configuration whose workers are this binary run as `mode`.
+fn worker_config(db: &PathBuf, workers: usize, mode: &str) -> ServerConfig {
     let exe = std::env::current_exe().unwrap();
-    ServerConfig::new(
-        db,
-        vec![exe.to_string_lossy().into_owned(), "worker".into()],
-    )
-    .workers(workers)
-    .chunk(5)
+    ServerConfig::new(db, vec![exe.to_string_lossy().into_owned(), mode.into()])
+        .workers(workers)
+        .chunk(5)
 }
 
 /// The sort16 `R6` campaign with static pruning, prediction and class
@@ -330,6 +333,19 @@ fn telemetry_rollup_is_persisted() {
         "reference + 40 rows appended by the daemon"
     );
     assert_eq!(rollup.worker_stats.len(), 2, "one gauge set per driver");
+    let decoded = rollup.phase(goofi_telemetry::names::NET_DECODE);
+    assert!(
+        decoded.is_some_and(|p| p.count >= 1),
+        "worker replies are decoded under a span"
+    );
+    let received = rollup
+        .counters
+        .iter()
+        .find(|c| c.name == goofi_telemetry::names::NET_BYTES);
+    assert!(
+        received.is_some_and(|c| c.value > 0),
+        "reply frame bytes are counted"
+    );
     let claimed: u64 = rollup.worker_stats.iter().map(|w| w.claimed).sum();
     assert_eq!(claimed, 40, "every execution claimed once");
     let store = GoofiStore::load(&db).unwrap();
@@ -341,16 +357,102 @@ fn telemetry_rollup_is_persisted() {
     eprintln!("server_recovery: telemetry_rollup_is_persisted ... ok");
 }
 
+/// A reply that arrives whole (its CRC holds) but does not decode is a
+/// protocol fault, not a dead worker: the job fails at once with the
+/// codec error, and no worker is respawned.
+fn undecodable_reply_fails_the_job() {
+    let c = campaign("det-codec", 20);
+    let db = tmp("codec.db");
+    seeded_db(&db, &c);
+    let mut svc = ProcessService::new(worker_config(&db, 1, "mangling-worker"));
+    let job = svc
+        .submit(JobSpec::new(CampaignRef::Name(c.name.clone())))
+        .expect("submit");
+    let events: Vec<ServiceEvent> = svc.watch(&job, true).expect("watch").collect();
+    svc.join();
+    assert!(
+        !events
+            .iter()
+            .any(|ev| matches!(ev, ServiceEvent::WorkerLost { .. })),
+        "an undecodable reply cost a respawn: {events:?}"
+    );
+    match events.last() {
+        Some(ServiceEvent::Failed { error }) => assert!(
+            error.contains("message codec error") && error.contains("unknown tag"),
+            "the job failed without the codec error: {error}"
+        ),
+        other => panic!("the job did not fail: {other:?}"),
+    }
+    eprintln!("server_recovery: undecodable_reply_fails_the_job ... ok");
+}
+
+/// The `mangling-worker` mode: gets ready like a real worker, then
+/// answers every chunk with a `ChunkDone` whose first row carries an
+/// unknown value tag. The frame's CRC is computed over the mangled bytes,
+/// so only the row decoder can object.
+fn mangling_worker() -> i32 {
+    let (mut input, mut output) = (std::io::stdin().lock(), std::io::stdout().lock());
+    while let Ok(frame) = read_frame(&mut input) {
+        let reply = match WorkerRequest::from_frame(&frame) {
+            Ok(WorkerRequest::Init { campaign, .. }) => WorkerResponse::Ready {
+                pid: std::process::id(),
+                experiments: campaign.experiments,
+            }
+            .to_frame(),
+            Ok(WorkerRequest::RunChunk { id, indices }) => {
+                let record = ExperimentRecord {
+                    name: "mangled".into(),
+                    parent: None,
+                    campaign: "mangled".into(),
+                    data: ExperimentData {
+                        fault: None,
+                        termination: TargetEvent::Halted,
+                        outputs: Vec::new(),
+                        iterations: 0,
+                        instructions: 0,
+                        detail_trace: None,
+                    },
+                    state_vector: Vec::new(),
+                };
+                let rows = indices
+                    .into_iter()
+                    .map(|index| IndexedRecord {
+                        index,
+                        record: record.clone(),
+                    })
+                    .collect();
+                WorkerResponse::ChunkDone { id, rows }
+                    .to_frame()
+                    .map(|mut frame| {
+                        // id, count, the first row's index and length,
+                        // its value count: then its first value's tag.
+                        frame.payload[8 + 4 + 8 + 4 + 2] = 0xEE;
+                        frame
+                    })
+            }
+            _ => return 0,
+        };
+        let sent = reply.and_then(|frame| write_frame(&mut output, &frame));
+        if sent.is_err() {
+            return 1;
+        }
+    }
+    0
+}
+
 fn main() {
     // The server spawns `<this binary> worker` children; route them to
     // the protocol loop before any test machinery runs.
-    if std::env::args().nth(1).as_deref() == Some("worker") {
-        std::process::exit(goofi_server::worker_main());
+    match std::env::args().nth(1).as_deref() {
+        Some("worker") => std::process::exit(goofi_server::worker_main()),
+        Some("mangling-worker") => std::process::exit(mangling_worker()),
+        _ => {}
     }
     multi_process_runs_are_byte_identical();
     killed_worker_recovers_byte_identical();
     cancel_then_resume_completes();
     telemetry_rollup_is_persisted();
+    undecodable_reply_fails_the_job();
     let dir = std::env::temp_dir().join(format!("goofi_srv_rec_{}", std::process::id()));
     let _ = std::fs::remove_dir_all(dir);
     eprintln!("server_recovery: all scenarios ok");
