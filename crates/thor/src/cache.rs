@@ -40,24 +40,48 @@ impl Default for CacheConfig {
 
 /// One cache line: valid bit, tag, data words and a single even-parity bit
 /// covering valid+tag+data.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// The line also keeps whether its stored parity bit matches its contents,
+/// so a hit checks one flag instead of recomputing parity. Every mutator
+/// keeps that status current: a fill or a write-through stores fresh
+/// parity, and each raw scan setter toggles the status when it changes an
+/// odd number of covered bits (or the parity bit itself).
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheLine {
     valid: bool,
     tag: u32,
     data: Vec<u32>,
     parity: bool,
+    parity_ok: bool,
+}
+
+impl Clone for CacheLine {
+    fn clone(&self) -> CacheLine {
+        CacheLine {
+            data: self.data.clone(),
+            ..*self
+        }
+    }
+
+    /// Copies `source` into the line's existing word storage.
+    fn clone_from(&mut self, source: &CacheLine) {
+        self.valid = source.valid;
+        self.tag = source.tag;
+        self.data.clone_from(&source.data);
+        self.parity = source.parity;
+        self.parity_ok = source.parity_ok;
+    }
 }
 
 impl CacheLine {
     fn empty(words: usize) -> CacheLine {
-        let mut line = CacheLine {
+        CacheLine {
             valid: false,
             tag: 0,
             data: vec![0; words],
             parity: false,
-        };
-        line.parity = line.computed_parity();
-        line
+            parity_ok: true,
+        }
     }
 
     /// Even parity over valid bit, tag and data words.
@@ -70,8 +94,21 @@ impl CacheLine {
     }
 
     /// Whether the stored parity matches the line contents.
+    #[inline]
     pub fn parity_ok(&self) -> bool {
-        self.parity == self.computed_parity()
+        self.parity_ok
+    }
+
+    /// Stores freshly computed parity (a legitimate update of the line).
+    fn reseal(&mut self) {
+        self.parity = self.computed_parity();
+        self.parity_ok = true;
+    }
+
+    /// Records a raw change of the covered bits: an odd number of flipped
+    /// bits toggles whether the stale parity bit still matches.
+    fn note_flips(&mut self, changed: u32) {
+        self.parity_ok ^= changed.count_ones() % 2 == 1;
     }
 
     /// Valid bit.
@@ -96,14 +133,17 @@ impl CacheLine {
 
     /// Scan write of the valid bit (parity left stale on purpose).
     pub fn set_valid_raw(&mut self, v: bool) {
+        self.note_flips(u32::from(self.valid != v));
         self.valid = v;
     }
     /// Scan write of the tag (parity left stale on purpose).
     pub fn set_tag_raw(&mut self, tag: u32) {
+        self.note_flips(self.tag ^ tag);
         self.tag = tag;
     }
     /// Scan write of the parity bit itself.
     pub fn set_parity_raw(&mut self, p: bool) {
+        self.note_flips(u32::from(self.parity != p));
         self.parity = p;
     }
     /// Scan write of a data word (parity left stale on purpose).
@@ -112,17 +152,38 @@ impl CacheLine {
     ///
     /// Panics if `idx` is out of range for the line.
     pub fn set_data_raw(&mut self, idx: usize, word: u32) {
+        self.note_flips(self.data[idx] ^ word);
         self.data[idx] = word;
     }
 }
 
 /// A direct-mapped, write-through cache with per-line parity.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Cache {
     config: CacheConfig,
     lines: Vec<CacheLine>,
     hits: u64,
     misses: u64,
+}
+
+impl Clone for Cache {
+    fn clone(&self) -> Cache {
+        Cache {
+            config: self.config,
+            lines: self.lines.clone(),
+            hits: self.hits,
+            misses: self.misses,
+        }
+    }
+
+    /// Copies `source` into the cache's existing line storage: restoring a
+    /// checkpointed cache of the same geometry allocates nothing.
+    fn clone_from(&mut self, source: &Cache) {
+        self.config = source.config;
+        self.lines.clone_from(&source.lines);
+        self.hits = source.hits;
+        self.misses = source.misses;
+    }
 }
 
 /// Outcome of a cache access: the value plus the cycle cost incurred.
@@ -174,17 +235,24 @@ impl Cache {
         self.misses
     }
 
+    /// Splits `addr` into (line index, tag, word within the line). Both
+    /// geometry parameters are powers of two, so this is shifts and masks.
+    #[inline]
     fn index_and_tag(&self, addr: u32) -> (usize, u32, usize) {
-        let line_bytes = (self.config.words_per_line * 4) as u32;
-        let line_no = addr / line_bytes;
-        let index = (line_no as usize) % self.config.lines;
-        let tag = line_no / self.config.lines as u32;
-        let word_idx = ((addr % line_bytes) / 4) as usize;
+        let word_bits = self.config.words_per_line.trailing_zeros();
+        let index_bits = self.config.lines.trailing_zeros();
+        let line_no = addr >> (word_bits + 2);
+        let index = line_no as usize & (self.config.lines - 1);
+        let tag = line_no >> index_bits;
+        let word_idx = (addr >> 2) as usize & (self.config.words_per_line - 1);
         (index, tag, word_idx)
     }
 
     /// Reads a word through the cache, filling from `memory` on a miss.
     /// `fetch` selects instruction-fetch permission checking.
+    ///
+    /// A misaligned `addr` reads the word it falls in: neither a hit nor
+    /// a miss raises [`Exception::Misaligned`].
     ///
     /// # Errors
     ///
@@ -192,11 +260,12 @@ impl Cache {
     /// [`Exception::DcacheParity`] — reported as `DcacheParity`; the
     /// machine rewrites the variant for its I-cache) and the underlying
     /// memory exceptions on miss.
+    #[inline]
     pub fn read(&mut self, memory: &Memory, addr: u32, fetch: bool) -> Result<Access, Exception> {
         let (index, tag, word_idx) = self.index_and_tag(addr);
         let line = &self.lines[index];
         if line.valid && line.tag == tag {
-            if !line.parity_ok() {
+            if !line.parity_ok {
                 return Err(Exception::DcacheParity { line: index });
             }
             self.hits += 1;
@@ -205,36 +274,45 @@ impl Cache {
                 extra_cycles: 0,
             });
         }
-        // Miss: fill the whole line from memory.
+        self.fill(memory, addr, fetch, index, tag, word_idx)
+    }
+
+    /// The miss path: fills line `index` from memory in place.
+    ///
+    /// Only a fault on the requested word matters, and it leaves the line
+    /// untouched (the miss is still counted). A misaligned `addr` is never
+    /// itself requested from memory, and an unmappable neighbouring word
+    /// fills as 0.
+    #[cold]
+    #[inline(never)]
+    fn fill(
+        &mut self,
+        memory: &Memory,
+        addr: u32,
+        fetch: bool,
+        index: usize,
+        tag: u32,
+        word_idx: usize,
+    ) -> Result<Access, Exception> {
         self.misses += 1;
-        let line_bytes = (self.config.words_per_line * 4) as u32;
-        let base = addr / line_bytes * line_bytes;
-        let mut data = Vec::with_capacity(self.config.words_per_line);
-        for w in 0..self.config.words_per_line {
-            let a = base + (w as u32) * 4;
-            let word = if fetch {
+        let load = |a| {
+            if fetch {
                 memory.fetch(a)
             } else {
                 memory.read(a)
-            };
-            match word {
-                Ok(word) => data.push(word),
-                Err(e) => {
-                    // Only the requested word's fault matters; if a
-                    // neighbouring word of the line is unmappable, fall
-                    // back to a single-word fill.
-                    if a == addr {
-                        return Err(e);
-                    }
-                    data.push(0);
-                }
             }
+        };
+        if addr.is_multiple_of(4) {
+            load(addr)?;
         }
+        let base = addr & !((self.config.words_per_line as u32 * 4) - 1);
         let line = &mut self.lines[index];
+        for (w, word) in line.data.iter_mut().enumerate() {
+            *word = load(base + (w as u32) * 4).unwrap_or(0);
+        }
         line.valid = true;
         line.tag = tag;
-        line.data = data;
-        line.parity = line.computed_parity();
+        line.reseal();
         Ok(Access {
             value: line.data[word_idx],
             extra_cycles: self.config.miss_penalty,
@@ -244,19 +322,24 @@ impl Cache {
     /// Write-through update: if the line is resident, updates the cached
     /// word and recomputes parity (a legitimate write repairs any stale
     /// parity in that line, i.e. overwrites a latent fault).
+    #[inline]
     pub fn write_through(&mut self, addr: u32, value: u32) {
         let (index, tag, word_idx) = self.index_and_tag(addr);
         let line = &mut self.lines[index];
         if line.valid && line.tag == tag {
             line.data[word_idx] = value;
-            line.parity = line.computed_parity();
+            line.reseal();
         }
     }
 
     /// Invalidates every line and resets hit/miss counters.
     pub fn invalidate_all(&mut self) {
         for line in &mut self.lines {
-            *line = CacheLine::empty(self.config.words_per_line);
+            line.valid = false;
+            line.tag = 0;
+            line.data.fill(0);
+            line.parity = false;
+            line.parity_ok = true;
         }
         self.hits = 0;
         self.misses = 0;

@@ -252,7 +252,6 @@ impl TestCard {
             .chains
             .iter()
             .find(|c| c.name() == name)
-            .cloned()
             .ok_or_else(|| CardError::NoSuchChain(name.to_owned()))?;
         if bits.len() != chain.width() {
             return Err(CardError::WidthMismatch {
@@ -391,8 +390,9 @@ impl TestCard {
                 .memory_mut()
                 .restore_words(&snapshot.mem_base, &snapshot.mem_delta);
         }
-        *self.machine.icache_mut() = snapshot.icache.clone();
-        *self.machine.dcache_mut() = snapshot.dcache.clone();
+        // `clone_from` copies into the caches' existing line storage.
+        self.machine.icache_mut().clone_from(&snapshot.icache);
+        self.machine.dcache_mut().clone_from(&snapshot.dcache);
         self.addr_breakpoints = snapshot.addr_breakpoints.clone();
         self.instret_breakpoints = snapshot.instret_breakpoints.clone();
         self.latched = snapshot.latched.clone();
