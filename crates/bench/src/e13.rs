@@ -12,8 +12,9 @@
 //!    The seed's loop must also maintain the whole population as an
 //!    in-memory [`Database`] — its snapshot serialises that structure,
 //!    so the backend cannot run without it. The engine's durability
-//!    path (WAL record + in-page heap write + PK index) is
-//!    self-contained, which is exactly the architectural win measured.
+//!    path (constraint checks, WAL record, in-page heap write, primary
+//!    key and declared secondary index) is self-contained, which is
+//!    exactly the architectural win measured.
 //! 2. **Point lookup** — `campaignName = ? AND experimentName = ?`
 //!    through the declared secondary index versus the full-scan
 //!    reference executor.

@@ -915,28 +915,24 @@ fn cmd_list(p: &ParsedArgs) -> Result<String, String> {
 }
 
 /// Ad-hoc SQL over the tool database (the paper's "tailor made scripts").
+/// The statement runs on an in-memory copy; a mutating one rewrites the
+/// file from that copy.
 fn cmd_sql(p: &ParsedArgs) -> Result<String, String> {
     let db = p.require("db")?;
     let stmt = p
         .positional
         .first()
         .ok_or_else(|| "sql needs a statement argument".to_owned())?;
-    let mut store = load_store(db)?;
-    match store
-        .database_mut()
-        .execute_sql(stmt)
-        .map_err(|e| e.to_string())?
-    {
-        goofi_db::SqlOutput::Rows(rs) => Ok(rs.to_string()),
-        goofi_db::SqlOutput::Affected(n) => {
-            store.save(db).map_err(|e| e.to_string())?;
-            Ok(format!("{n} rows affected\n"))
-        }
-        goofi_db::SqlOutput::None => {
-            store.save(db).map_err(|e| e.to_string())?;
-            Ok("ok\n".to_owned())
-        }
+    let mut database = load_store(db)?.to_database().map_err(|e| e.to_string())?;
+    let out = database.execute_sql(stmt).map_err(|e| e.to_string())?;
+    if let goofi_db::SqlOutput::Rows(rs) = out {
+        return Ok(rs.to_string());
     }
+    goofi_db::storage::write_database(Path::new(db), &database).map_err(|e| e.to_string())?;
+    Ok(match out {
+        goofi_db::SqlOutput::Affected(n) => format!("{n} rows affected\n"),
+        _ => "ok\n".to_owned(),
+    })
 }
 
 /// Storage-engine maintenance: `goofi db stats` / `goofi db compact`.
@@ -1010,7 +1006,7 @@ fn cmd_db_stats(p: &ParsedArgs) -> Result<String, String> {
 /// dropping dead slots and truncating the write-ahead log. Also migrates
 /// legacy JSON snapshots to the paged format.
 fn cmd_db_compact(p: &ParsedArgs) -> Result<String, String> {
-    use goofi_db::storage::wal_path;
+    use goofi_db::storage::{wal_path, write_database};
     let db = p.require("db")?;
     let path = Path::new(db);
     if !path.exists() {
@@ -1018,8 +1014,8 @@ fn cmd_db_compact(p: &ParsedArgs) -> Result<String, String> {
     }
     let file_len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
     let before = file_len(path) + file_len(&wal_path(path));
-    let mut store = load_store(db)?;
-    store.save(db).map_err(|e| e.to_string())?;
+    let database = load_store(db)?.to_database().map_err(|e| e.to_string())?;
+    write_database(path, &database).map_err(|e| e.to_string())?;
     let after = file_len(path) + file_len(&wal_path(path));
     Ok(format!("compacted `{db}`: {before} B -> {after} B\n"))
 }
@@ -1752,7 +1748,7 @@ mod tests {
         let db = tmpdb("dblegacy.json");
         // Write a legacy JSON snapshot directly (pre-engine on-disk format).
         let store = GoofiStore::new();
-        store.database().save(&db).unwrap();
+        store.to_database().unwrap().save(&db).unwrap();
         let err = call(&["db", "stats", "--db", &db]).unwrap_err();
         assert!(err.contains("legacy JSON"), "{err}");
         let out = call(&["db", "compact", "--db", &db]).unwrap();

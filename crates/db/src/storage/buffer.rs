@@ -4,7 +4,7 @@
 use super::disk::DiskManager;
 use super::page::{PageId, PAGE_SIZE};
 use crate::error::DbError;
-use std::collections::BTreeMap;
+use std::collections::btree_map::{BTreeMap, Entry};
 
 struct Frame {
     data: Box<[u8; PAGE_SIZE]>,
@@ -52,11 +52,26 @@ impl BufferPool {
         if self.frames.contains_key(&id) {
             return Ok(());
         }
-        // Evict least-recently-used *clean* frames; dirty frames are
-        // pinned (no-steal), so an all-dirty pool grows instead. The
-        // dirty counter makes the all-dirty case O(1), and evicting in
-        // a batch down to capacity amortises the scan after a
-        // checkpoint cleans an over-grown pool.
+        self.make_room();
+        let mut data = Box::new([0u8; PAGE_SIZE]);
+        disk.read_page(id, &mut data)?;
+        self.frames.insert(
+            id,
+            Frame {
+                data,
+                dirty: false,
+                last_used: 0,
+            },
+        );
+        Ok(())
+    }
+
+    /// Evicts least-recently-used *clean* frames ahead of one more
+    /// frame. Dirty frames are pinned (no-steal), so an all-dirty pool
+    /// grows instead. The dirty counter makes the all-dirty case O(1),
+    /// and evicting in a batch down to capacity amortises the scan
+    /// after a checkpoint cleans an over-grown pool.
+    fn make_room(&mut self) {
         if self.frames.len() >= self.capacity && self.frames.len() > self.dirty {
             let mut clean: Vec<(u64, PageId)> = self
                 .frames
@@ -70,17 +85,35 @@ impl BufferPool {
                 self.frames.remove(pid);
             }
         }
-        let mut data = Box::new([0u8; PAGE_SIZE]);
-        disk.read_page(id, &mut data)?;
-        self.frames.insert(
-            id,
-            Frame {
-                data,
-                dirty: false,
-                last_used: 0,
-            },
-        );
-        Ok(())
+    }
+
+    /// Allocates a page on `disk` and returns its id with write access
+    /// to a zeroed, dirty frame. The frame is never read from the file:
+    /// bytes past the last checkpoint's page count may be left over from
+    /// a checkpoint that died before its commit.
+    pub fn allocate(&mut self, disk: &mut DiskManager) -> (PageId, &mut [u8; PAGE_SIZE]) {
+        let id = disk.allocate();
+        self.make_room();
+        self.tick += 1;
+        let frame = Frame {
+            data: Box::new([0u8; PAGE_SIZE]),
+            dirty: true,
+            last_used: self.tick,
+        };
+        let frame = match self.frames.entry(id) {
+            Entry::Occupied(mut slot) => {
+                if !slot.get().dirty {
+                    self.dirty += 1;
+                }
+                slot.insert(frame);
+                slot.into_mut()
+            }
+            Entry::Vacant(slot) => {
+                self.dirty += 1;
+                slot.insert(frame)
+            }
+        };
+        (id, &mut frame.data)
     }
 
     /// Read access to page `id`, faulting it in if needed.

@@ -84,8 +84,18 @@ pub(crate) fn decode_value(buf: &[u8], pos: &mut usize) -> Result<Value, DbError
 }
 
 /// Encodes a whole row: `u16` value count followed by the values.
-pub fn encode_row(row: &Row) -> Vec<u8> {
-    let mut out = Vec::with_capacity(16 + row.len() * 8);
+pub fn encode_row(row: &[Value]) -> Vec<u8> {
+    // Sized up front: experiment rows carry kilobyte blobs, and growing
+    // the buffer by doubling would copy them several times.
+    let payload: usize = row
+        .iter()
+        .map(|v| match v {
+            Value::Text(t) => t.len(),
+            Value::Blob(b) => b.len(),
+            _ => 0,
+        })
+        .sum();
+    let mut out = Vec::with_capacity(2 + row.len() * 9 + payload);
     out.extend_from_slice(&(row.len() as u16).to_le_bytes());
     for v in row {
         encode_value(v, &mut out);
@@ -136,7 +146,7 @@ mod tests {
 
     #[test]
     fn truncated_row_is_an_error() {
-        let bytes = encode_row(&vec![Value::Text("abcdef".into())]);
+        let bytes = encode_row(&[Value::Text("abcdef".into())]);
         assert!(decode_row(&bytes[..bytes.len() - 2]).is_err());
         assert!(decode_row(&[9]).is_err());
     }

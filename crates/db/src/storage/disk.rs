@@ -12,15 +12,19 @@ use std::path::{Path, PathBuf};
 /// allocated since the last checkpoint exist only in the buffer pool
 /// (the no-steal policy never writes them early), and reading past the
 /// end of the file yields a zeroed page.
+///
+/// A memory-backed manager ([`DiskManager::memory`]) has no file: every
+/// page lives in the buffer pool, reads yield zeroed pages and writes
+/// are dropped.
 pub struct DiskManager {
-    file: File,
+    file: Option<File>,
     path: PathBuf,
     page_count: u32,
 }
 
 impl DiskManager {
-    /// Creates (truncating) a new data file with `page_count` starting
-    /// at 1 — page 0 is the header page.
+    /// Creates (truncating) a new, empty data file. The first page
+    /// allocated is page 0, the engine's header page.
     pub fn create(path: &Path) -> Result<DiskManager, DbError> {
         let file = OpenOptions::new()
             .read(true)
@@ -30,10 +34,19 @@ impl DiskManager {
             .open(path)
             .map_err(|e| DbError::Io(format!("create {}: {e}", path.display())))?;
         Ok(DiskManager {
-            file,
+            file: Some(file),
             path: path.to_path_buf(),
-            page_count: 1,
+            page_count: 0,
         })
+    }
+
+    /// A manager with no file behind it, for a memory-backed engine.
+    pub fn memory() -> DiskManager {
+        DiskManager {
+            file: None,
+            path: PathBuf::new(),
+            page_count: 0,
+        }
     }
 
     /// Opens an existing data file. The logical page count is restored
@@ -51,15 +64,15 @@ impl DiskManager {
             .len();
         let page_count = (len.div_ceil(PAGE_SIZE as u64)).max(1) as u32;
         Ok(DiskManager {
-            file,
+            file: Some(file),
             path: path.to_path_buf(),
             page_count,
         })
     }
 
-    /// Path of the data file.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// Path of the data file; `None` when memory-backed.
+    pub fn path(&self) -> Option<&Path> {
+        self.file.as_ref().map(|_| self.path.as_path())
     }
 
     /// Number of logically allocated pages (including unflushed ones).
@@ -84,48 +97,53 @@ impl DiskManager {
     /// current end of the file.
     pub fn read_page(&mut self, id: PageId, buf: &mut [u8; PAGE_SIZE]) -> Result<(), DbError> {
         buf.fill(0);
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
         let off = id as u64 * PAGE_SIZE as u64;
-        let len = self
-            .file
+        let len = file
             .metadata()
             .map_err(|e| DbError::Io(format!("stat {}: {e}", self.path.display())))?
             .len();
         if off >= len {
             return Ok(());
         }
-        self.file
-            .seek(SeekFrom::Start(off))
+        file.seek(SeekFrom::Start(off))
             .map_err(|e| DbError::Io(format!("seek page {id}: {e}")))?;
         let avail = ((len - off) as usize).min(PAGE_SIZE);
-        self.file
-            .read_exact(&mut buf[..avail])
+        file.read_exact(&mut buf[..avail])
             .map_err(|e| DbError::Io(format!("read page {id}: {e}")))?;
         Ok(())
     }
 
     /// Writes page `id`, extending the file as needed.
     pub fn write_page(&mut self, id: PageId, buf: &[u8; PAGE_SIZE]) -> Result<(), DbError> {
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
         let off = id as u64 * PAGE_SIZE as u64;
-        self.file
-            .seek(SeekFrom::Start(off))
+        file.seek(SeekFrom::Start(off))
             .map_err(|e| DbError::Io(format!("seek page {id}: {e}")))?;
-        self.file
-            .write_all(buf)
+        file.write_all(buf)
             .map_err(|e| DbError::Io(format!("write page {id}: {e}")))?;
         Ok(())
     }
 
     /// Flushes buffered writes to the OS.
     pub fn sync(&mut self) -> Result<(), DbError> {
-        self.file
-            .flush()
+        let Some(file) = self.file.as_mut() else {
+            return Ok(());
+        };
+        file.flush()
             .map_err(|e| DbError::Io(format!("sync {}: {e}", self.path.display())))
     }
 
-    /// Current size of the data file in bytes.
+    /// Current size of the data file in bytes (0 when memory-backed).
     pub fn file_len(&self) -> Result<u64, DbError> {
-        self.file
-            .metadata()
+        let Some(file) = self.file.as_ref() else {
+            return Ok(0);
+        };
+        file.metadata()
             .map(|m| m.len())
             .map_err(|e| DbError::Io(format!("stat {}: {e}", self.path.display())))
     }

@@ -114,7 +114,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The foreign keys let us walk back from the detail run to the
     // original campaign data.
-    let rs = store.database_mut().query(
+    let rs = store.to_database()?.query(
         "SELECT l.experimentName, c.nrOfExperiments \
          FROM LoggedSystemState l \
          JOIN LoggedSystemState p ON l.parentExperiment = p.experimentName \

@@ -51,7 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Ad-hoc SQL still works for "tailor made" analyses (paper §3.5).
     let rs = store
-        .database_mut()
+        .to_database()?
         .query("SELECT COUNT(*) AS n FROM LoggedSystemState WHERE campaignName = 'quickstart'")?;
     println!("logged rows (incl. reference): {}", rs.rows[0][0]);
     Ok(())

@@ -92,7 +92,8 @@ fn sql_breakdown_matches_classifier() {
     // "Tailor made script" (paper §3.5): count detections by grepping the
     // experimentData JSON for the Detected termination.
     let rs = store
-        .database_mut()
+        .to_database()
+        .unwrap()
         .query(
             "SELECT COUNT(*) AS n FROM LoggedSystemState \
              WHERE campaignName = 'e2e' \

@@ -151,7 +151,7 @@ fn engine_recovery_is_deterministic_across_worker_counts() {
         drop(store); // crash: rows only in the WAL
 
         let recovered = GoofiStore::load(&path).unwrap();
-        dumps.push(recovered.database().logical_dump());
+        dumps.push(recovered.to_database().unwrap().logical_dump());
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(wal_path(&path)).ok();
     }
