@@ -15,9 +15,9 @@
 //! * [`Wal`] is a binary, length-prefixed, CRC-checksummed
 //!   write-ahead log — one record per append — replayed on open and
 //!   truncated by [`PagedEngine::checkpoint`];
-//! * [`BTree`] is the in-memory ordered index used for primary-key
-//!   lookups inside the engine and for the declared secondary indexes
-//!   on [`crate::Table`].
+//! * [`BTree`] is the in-memory ordered index behind primary keys and
+//!   declared secondary indexes, in the engine and on [`crate::Table`]
+//!   alike.
 //!
 //! [`encode_row`]/[`decode_row`] is the binary row codec of heap cells
 //! and WAL payloads; the campaign service's worker pipe reuses it for
