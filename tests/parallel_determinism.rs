@@ -6,11 +6,14 @@
 
 use goofi_repro::core::{
     analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, Command,
-    FaultModel, GoofiStore, LocationSelector, ProgressEvent, RunOptions, TargetSystemInterface,
-    Technique,
+    FaultModel, GoofiStore, LocationSelector, ProgressEvent, Result, RunOptions, StateVector,
+    StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig, TargetSystemInterface,
+    Technique, TraceStep,
 };
 use goofi_repro::targets::ThorTarget;
 use goofi_repro::workloads::sort_workload;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 
 fn campaign(name: &str, n: usize) -> Campaign {
     Campaign::builder(name, "thor-card", "sort12")
@@ -29,6 +32,116 @@ fn campaign(name: &str, n: usize) -> Campaign {
 
 fn factory() -> Box<dyn TargetSystemInterface> {
     Box::new(ThorTarget::new("thor-card", sort_workload(12, 9)))
+}
+
+/// Holds experiment read-backs so a stop lands mid-campaign however the
+/// threads are scheduled: the first `free` read-backs across every target
+/// sharing the hold pass, later ones wait for [`Hold::release`].
+struct Hold {
+    free: usize,
+    reads: AtomicUsize,
+    released: Mutex<bool>,
+    cv: Condvar,
+}
+
+impl Hold {
+    fn new(free: usize) -> Arc<Hold> {
+        Arc::new(Hold {
+            free,
+            reads: AtomicUsize::new(0),
+            released: Mutex::new(false),
+            cv: Condvar::new(),
+        })
+    }
+
+    fn release(&self) {
+        *self.released.lock().unwrap() = true;
+        self.cv.notify_all();
+    }
+
+    fn wait(&self) {
+        if self.reads.fetch_add(1, Ordering::SeqCst) < self.free {
+            return;
+        }
+        let mut released = self.released.lock().unwrap();
+        while !*released {
+            released = self.cv.wait(released).unwrap();
+        }
+    }
+}
+
+/// The Thor target with its read-back (one per experiment, checkpointed
+/// or cold) going through a [`Hold`].
+struct HeldThor {
+    inner: ThorTarget,
+    hold: Arc<Hold>,
+}
+
+impl TargetSystemInterface for HeldThor {
+    fn target_name(&self) -> &str {
+        self.inner.target_name()
+    }
+    fn describe(&self) -> TargetSystemConfig {
+        self.inner.describe()
+    }
+    fn init_test_card(&mut self) -> Result<()> {
+        self.inner.init_test_card()
+    }
+    fn load_workload(&mut self) -> Result<()> {
+        self.inner.load_workload()
+    }
+    fn write_memory(&mut self, addr: u32, data: &[u32]) -> Result<()> {
+        self.inner.write_memory(addr, data)
+    }
+    fn read_memory(&mut self, addr: u32, len: usize) -> Result<Vec<u32>> {
+        self.inner.read_memory(addr, len)
+    }
+    fn set_breakpoint(&mut self, time: u64) -> Result<()> {
+        self.inner.set_breakpoint(time)
+    }
+    fn run_workload(&mut self) -> Result<()> {
+        self.inner.run_workload()
+    }
+    fn wait_for_breakpoint(&mut self) -> Result<TargetEvent> {
+        self.inner.wait_for_breakpoint()
+    }
+    fn wait_for_termination(&mut self) -> Result<TargetEvent> {
+        self.inner.wait_for_termination()
+    }
+    fn read_scan_chain(&mut self, chain: &str) -> Result<StateVector> {
+        self.inner.read_scan_chain(chain)
+    }
+    fn write_scan_chain(&mut self, chain: &str, bits: &StateVector) -> Result<()> {
+        self.inner.write_scan_chain(chain, bits)
+    }
+    fn observe_state(&mut self) -> Result<StateVector> {
+        self.inner.observe_state()
+    }
+    fn read_outputs(&mut self) -> Result<Vec<u32>> {
+        self.hold.wait();
+        self.inner.read_outputs()
+    }
+    fn step_instruction(&mut self) -> Result<Option<TargetEvent>> {
+        self.inner.step_instruction()
+    }
+    fn collect_trace(&mut self) -> Result<Vec<TraceStep>> {
+        self.inner.collect_trace()
+    }
+    fn static_analysis(&mut self, horizon: u64) -> Result<StaticAnalysis> {
+        self.inner.static_analysis(horizon)
+    }
+    fn instructions_retired(&mut self) -> Result<u64> {
+        self.inner.instructions_retired()
+    }
+    fn iterations_completed(&mut self) -> Result<u32> {
+        self.inner.iterations_completed()
+    }
+    fn snapshot(&mut self) -> Result<TargetSnapshot> {
+        self.inner.snapshot()
+    }
+    fn restore(&mut self, snapshot: &TargetSnapshot) -> Result<()> {
+        self.inner.restore(snapshot)
+    }
 }
 
 fn seeded_store(c: &Campaign) -> GoofiStore {
@@ -148,8 +261,19 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
         .unwrap();
     let full_rows = full_store.experiments_of("det-resume").unwrap();
 
-    // Stop after the 5th completed experiment.
+    // Stop after the 5th completed experiment. Read-backs past the 20th
+    // wait until the stop is sent, so the campaign cannot finish first.
     let (controller, handle) = control_channel();
+    let hold = Hold::new(20);
+    let held = {
+        let hold = hold.clone();
+        move || {
+            Box::new(HeldThor {
+                inner: ThorTarget::new("thor-card", sort_workload(12, 9)),
+                hold: hold.clone(),
+            }) as Box<dyn TargetSystemInterface>
+        }
+    };
     let watcher = std::thread::spawn(move || {
         let mut done = 0;
         while let Some(event) = handle.next() {
@@ -158,6 +282,7 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
                     done += 1;
                     if done == 5 {
                         handle.send(Command::Stop);
+                        hold.release();
                     }
                 }
                 ProgressEvent::Finished { .. } => break,
@@ -166,7 +291,7 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
         }
     });
     let mut store = seeded_store(&c);
-    let stopped = CampaignRunner::from_factory(factory, &c)
+    let stopped = CampaignRunner::from_factory(held, &c)
         .workers(2)
         .store(&mut store)
         .observer(&controller)
