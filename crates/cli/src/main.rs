@@ -928,7 +928,9 @@ fn cmd_sql(p: &ParsedArgs) -> Result<String, String> {
     if let goofi_db::SqlOutput::Rows(rs) = out {
         return Ok(rs.to_string());
     }
-    goofi_db::storage::write_database(Path::new(db), &database).map_err(|e| e.to_string())?;
+    GoofiStore::from_database(&database)
+        .and_then(|mut store| store.save(db))
+        .map_err(|e| e.to_string())?;
     Ok(match out {
         goofi_db::SqlOutput::Affected(n) => format!("{n} rows affected\n"),
         _ => "ok\n".to_owned(),
@@ -1006,7 +1008,7 @@ fn cmd_db_stats(p: &ParsedArgs) -> Result<String, String> {
 /// dropping dead slots and truncating the write-ahead log. Also migrates
 /// legacy JSON snapshots to the paged format.
 fn cmd_db_compact(p: &ParsedArgs) -> Result<String, String> {
-    use goofi_db::storage::{wal_path, write_database};
+    use goofi_db::storage::wal_path;
     let db = p.require("db")?;
     let path = Path::new(db);
     if !path.exists() {
@@ -1014,8 +1016,7 @@ fn cmd_db_compact(p: &ParsedArgs) -> Result<String, String> {
     }
     let file_len = |p: &Path| std::fs::metadata(p).map(|m| m.len()).unwrap_or(0);
     let before = file_len(path) + file_len(&wal_path(path));
-    let database = load_store(db)?.to_database().map_err(|e| e.to_string())?;
-    write_database(path, &database).map_err(|e| e.to_string())?;
+    load_store(db)?.compact(path).map_err(|e| e.to_string())?;
     let after = file_len(path) + file_len(&wal_path(path));
     Ok(format!("compacted `{db}`: {before} B -> {after} B\n"))
 }

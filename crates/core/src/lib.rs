@@ -51,6 +51,7 @@ pub mod fault;
 pub mod preinject;
 pub mod progress;
 pub mod propagation;
+pub mod rowcodec;
 pub mod runner;
 pub mod service;
 pub mod staticanalysis;

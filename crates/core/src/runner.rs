@@ -32,6 +32,7 @@
 //! gauges, and persists the campaign rollup to the `CampaignTelemetry`
 //! table. Telemetry never perturbs results: logged experiment rows are
 //! byte-identical with telemetry on or off at any worker count.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::algorithm::{reference_run, run_experiment, ExperimentRun};
 use crate::analysis::CampaignStats;

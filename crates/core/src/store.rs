@@ -9,22 +9,37 @@
 //! holds the runner's telemetry rollup when telemetry is enabled — it is
 //! observability metadata, deliberately outside the experiment-row FK
 //! graph so results stay byte-identical with telemetry off.
+//!
+//! `LoggedSystemState` has a logical and a physical form. The logical
+//! row is the paper's: `experimentData` as JSON text and the full state
+//! vector. That is what [`GoofiStore::get_experiment`],
+//! [`GoofiStore::experiments_of`], [`ExperimentRecord::to_row`] and
+//! [`GoofiStore::to_database`] return, and what
+//! [`GoofiStore::from_database`] takes. The engine stores the physical
+//! row of [`crate::rowcodec`]: each experiment as its difference from the
+//! campaign's reference row.
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::campaign::Campaign;
 use crate::error::{GoofiError, Result};
 use crate::fault::PlannedFault;
+use crate::rowcodec;
 use crate::target::{TargetEvent, TargetSystemConfig};
 use goofi_db::storage::{decode_row, encode_row, is_paged_file, write_database, PagedEngine};
-use goofi_db::{journal_path, Column, Database, DbError, Row, TableSchema, Value, ValueType};
+use goofi_db::{
+    journal_path, Column, Database, DbError, Insert, Row, TableSchema, Value, ValueType,
+};
 use goofi_telemetry::{names, CampaignTelemetry};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::path::Path;
+use std::sync::Arc;
 
-/// The per-experiment payload stored as JSON in the `experimentData`
-/// column ("information about the experiment such as the fault injection
-/// location").
+/// The per-experiment payload of the `experimentData` column
+/// ("information about the experiment such as the fault injection
+/// location"): JSON in the logical row, the binary codec of
+/// [`crate::rowcodec`] in the stored one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ExperimentData {
     /// The injected fault; `None` for the reference execution.
@@ -83,29 +98,16 @@ impl ExperimentRecord {
     /// [`GoofiError::Protocol`] for a row of the wrong width, a value of
     /// the wrong type, or a corrupt `experimentData` payload.
     pub fn from_row(row: &[Value]) -> Result<ExperimentRecord> {
-        let [name, parent, campaign, data, state_vector] = row else {
-            return Err(GoofiError::Protocol(format!(
-                "experiment row has {} values, expected 5",
-                row.len()
-            )));
-        };
-        fn text<'a>(v: &'a Value, column: &str) -> Result<&'a str> {
-            v.as_text()
-                .ok_or_else(|| GoofiError::Protocol(format!("{column} not text")))
-        }
-        let parent = match parent {
-            Value::Null => None,
-            v => Some(text(v, "parentExperiment")?.to_owned()),
-        };
+        let (name, parent, campaign, data, state_vector) = row_fields(row)?;
         let state_vector = match state_vector {
             Value::Null => Vec::new(),
             Value::Blob(bytes) => bytes.clone(),
             _ => return Err(GoofiError::Protocol("stateVector not a blob".into())),
         };
         Ok(ExperimentRecord {
-            name: text(name, "experimentName")?.to_owned(),
+            name,
             parent,
-            campaign: text(campaign, "campaignName")?.to_owned(),
+            campaign,
             data: serde_json::from_str(text(data, "experimentData")?)
                 .map_err(|e| GoofiError::Protocol(format!("corrupt experimentData: {e}")))?,
             state_vector,
@@ -159,9 +161,66 @@ impl ExperimentRecord {
     }
 }
 
+/// The key columns of a `LoggedSystemState` row — name, parent and
+/// campaign — and its `experimentData` and `stateVector` values, which
+/// the logical and the physical row encode differently.
+///
+/// # Errors
+///
+/// [`GoofiError::Protocol`] for a row of the wrong width or a key column
+/// that is not text.
+pub(crate) fn row_fields(
+    row: &[Value],
+) -> Result<(String, Option<String>, String, &Value, &Value)> {
+    let [name, parent, campaign, data, state_vector] = row else {
+        return Err(GoofiError::Protocol(format!(
+            "experiment row has {} values, expected 5",
+            row.len()
+        )));
+    };
+    let parent = match parent {
+        Value::Null => None,
+        v => Some(text(v, "parentExperiment")?.to_owned()),
+    };
+    Ok((
+        text(name, "experimentName")?.to_owned(),
+        parent,
+        text(campaign, "campaignName")?.to_owned(),
+        data,
+        state_vector,
+    ))
+}
+
+fn text<'a>(v: &'a Value, column: &str) -> Result<&'a str> {
+    v.as_text()
+        .ok_or_else(|| GoofiError::Protocol(format!("{column} not text")))
+}
+
 /// Name of the reference-run pseudo-experiment of a campaign.
 pub fn reference_experiment_name(campaign: &str) -> String {
     format!("{campaign}/ref")
+}
+
+/// The experiment table.
+const LSS: &str = "LoggedSystemState";
+
+/// Schema of `LoggedSystemState` with `experimentData` of type `data`:
+/// text in the logical row, a blob in the physical one.
+fn experiment_schema(data: ValueType) -> TableSchema {
+    TableSchema::new(
+        LSS,
+        vec![
+            Column::new("experimentName", ValueType::Text).primary_key(),
+            Column::new("parentExperiment", ValueType::Text).references(LSS, "experimentName"),
+            Column::new("campaignName", ValueType::Text)
+                .not_null()
+                .references("CampaignData", "campaignName"),
+            Column::new("experimentData", data).not_null(),
+            Column::new("stateVector", ValueType::Blob),
+        ],
+    )
+    .and_then(|s| s.with_index(LSS_INDEX, &["campaignName", "experimentName"]))
+    .expect("static schema")
 }
 
 /// Schema of the `StaticAnalysisData` table: one row per campaign that
@@ -215,9 +274,14 @@ const LSS_INDEX: &str = "byCampaignExperiment";
 /// schema's constraints (types, NOT NULL, primary and foreign keys) on
 /// every insert. It sits in a `RefCell` because reads fault pages into
 /// its buffer pool while the read API takes `&self`.
+///
+/// Experiment rows are stored in their physical form (see the module
+/// docs); `references` caches each campaign's reference record, the
+/// base of those rows, once it has been logged.
 #[derive(Debug)]
 pub struct GoofiStore {
     engine: RefCell<PagedEngine>,
+    references: RefCell<HashMap<String, Arc<ExperimentRecord>>>,
 }
 
 impl Default for GoofiStore {
@@ -275,20 +339,7 @@ impl GoofiStore {
                     Column::new("campaignJson", ValueType::Text).not_null(),
                 ],
             ),
-            TableSchema::new(
-                "LoggedSystemState",
-                vec![
-                    Column::new("experimentName", ValueType::Text).primary_key(),
-                    Column::new("parentExperiment", ValueType::Text)
-                        .references("LoggedSystemState", "experimentName"),
-                    Column::new("campaignName", ValueType::Text)
-                        .not_null()
-                        .references("CampaignData", "campaignName"),
-                    Column::new("experimentData", ValueType::Text).not_null(),
-                    Column::new("stateVector", ValueType::Blob),
-                ],
-            )
-            .and_then(|s| s.with_index(LSS_INDEX, &["campaignName", "experimentName"])),
+            Ok(experiment_schema(ValueType::Blob)),
             Ok(telemetry_schema()),
             Ok(static_analysis_schema()),
         ];
@@ -297,21 +348,90 @@ impl GoofiStore {
                 .create_table(&schema.expect("static schema"))
                 .expect("static schema names distinct tables");
         }
+        GoofiStore::from_engine(engine)
+    }
+
+    fn from_engine(engine: PagedEngine) -> GoofiStore {
         GoofiStore {
             engine: RefCell::new(engine),
+            references: RefCell::new(HashMap::new()),
         }
     }
 
     /// The whole database as an in-memory [`Database`], built on demand,
     /// for the analysis phase's "tailor made scripts or programs that
-    /// query the database" and ad-hoc SQL. Changes to the copy do not
-    /// reach the store.
+    /// query the database" and ad-hoc SQL. `LoggedSystemState` holds the
+    /// logical rows ([`ExperimentRecord::to_row`]). Changes to the copy
+    /// do not reach the store; [`GoofiStore::from_database`] makes a
+    /// store of it.
+    ///
+    /// This is the only way logical experiment rows leave the store.
     ///
     /// # Errors
     ///
-    /// [`GoofiError::Database`] on I/O failure.
+    /// [`GoofiError::Database`] on I/O failure; [`GoofiError::Protocol`]
+    /// for a corrupt experiment row.
     pub fn to_database(&self) -> Result<Database> {
-        Ok(self.engine.borrow_mut().to_database()?)
+        let mut db = self.engine.borrow_mut().to_database()?;
+        let rows: Vec<Row> = db.table(LSS)?.iter().map(|(_, row)| row.clone()).collect();
+        db.drop_table(LSS)?;
+        db.create_table(experiment_schema(ValueType::Text))?;
+        for row in rows {
+            db.insert(Insert::into(LSS, self.expand(&row)?.to_row()?))?;
+        }
+        Ok(db)
+    }
+
+    /// A memory-backed store holding `db`'s content, whose
+    /// `LoggedSystemState` holds logical rows, as [`GoofiStore::to_database`]
+    /// returns them. Each table's rows are inserted in row-id order,
+    /// the store's own tables first (target, campaign, experiment,
+    /// telemetry, static analysis) and any other table after them in
+    /// name order; experiment rows go through
+    /// [`GoofiStore::log_experiment`]. Tables the store declares but `db`
+    /// lacks are created empty.
+    ///
+    /// This is the only way logical experiment rows enter a store: a
+    /// legacy JSON snapshot, a paged file written before compact rows and
+    /// the write-back of a mutating `goofi sql` all come through here.
+    ///
+    /// # Errors
+    ///
+    /// [`GoofiError::Database`] if `db` lacks `TargetSystemData`,
+    /// `CampaignData` or `LoggedSystemState` or a row breaks a
+    /// constraint; [`GoofiError::Protocol`] for an experiment row that
+    /// does not parse.
+    pub fn from_database(db: &Database) -> Result<GoofiStore> {
+        let mut store = GoofiStore::new();
+        let own = store.engine.get_mut().table_names();
+        for table in ["TargetSystemData", "CampaignData", LSS] {
+            db.table(table)?;
+        }
+        let others: Vec<&str> = db
+            .table_names()
+            .into_iter()
+            .filter(|name| !own.iter().any(|o| o == name))
+            .collect();
+        for name in &others {
+            store
+                .engine
+                .get_mut()
+                .create_table(db.table(name)?.schema())?;
+        }
+        let order = own.iter().map(String::as_str).chain(others.iter().copied());
+        for name in order {
+            let Ok(table) = db.table(name) else {
+                continue;
+            };
+            for (_, row) in table.iter() {
+                if name == LSS {
+                    store.log_experiment(&ExperimentRecord::from_row(row)?)?;
+                } else {
+                    store.engine.get_mut().append(name, row)?;
+                }
+            }
+        }
+        Ok(store)
     }
 
     /// Persists the store to a file in the paged on-disk format. With the
@@ -347,22 +467,35 @@ impl GoofiStore {
     /// existed gain them here. A paged file is checkpointed at once when
     /// that happens: catalog changes are not logged, so inserts into a
     /// new table must not reach the log before the table reaches the
-    /// file.
+    /// file. A paged file written before experiment rows were stored
+    /// compact (TEXT `experimentData`) is rewritten once, through
+    /// [`GoofiStore::from_database`].
     ///
     /// # Errors
     ///
     /// [`GoofiError::Database`] on I/O or schema failure.
     pub fn load(path: impl AsRef<Path>) -> Result<GoofiStore> {
         let path = path.as_ref();
-        let mut engine = if is_paged_file(path) {
-            PagedEngine::open(path)?
-        } else {
-            PagedEngine::from_database(&Database::load(path)?)?
-        };
-        for table in ["TargetSystemData", "CampaignData", "LoggedSystemState"] {
+        if !is_paged_file(path) {
+            return GoofiStore::from_database(&Database::load(path)?);
+        }
+        let mut engine = PagedEngine::open(path)?;
+        for table in ["TargetSystemData", "CampaignData", LSS] {
             if engine.schema_of(table).is_none() {
                 return Err(DbError::NoSuchTable(table.to_owned()).into());
             }
+        }
+        let logical = engine
+            .schema_of(LSS)
+            .and_then(|s| s.column("experimentData"))
+            .is_some_and(|c| c.ty() == ValueType::Text);
+        if logical {
+            // Written before rows were stored compact: rewrite the file
+            // once, through the one way logical rows come in.
+            let db = engine.to_database()?;
+            drop(engine);
+            GoofiStore::from_database(&db)?.save(path)?;
+            engine = PagedEngine::open(path)?;
         }
         let mut migrated = false;
         for schema in [telemetry_schema(), static_analysis_schema()] {
@@ -379,9 +512,19 @@ impl GoofiStore {
         if migrated {
             engine.checkpoint()?;
         }
-        Ok(GoofiStore {
-            engine: RefCell::new(engine),
-        })
+        Ok(GoofiStore::from_engine(engine))
+    }
+
+    /// Rewrites the database as a fresh paged file at `path` (which may
+    /// be where the store is): dead slots are dropped and the
+    /// write-ahead log is emptied. Rows are copied as they are stored.
+    ///
+    /// # Errors
+    ///
+    /// [`GoofiError::Database`] on I/O failure.
+    pub fn compact(self, path: impl AsRef<Path>) -> Result<()> {
+        let db = self.engine.into_inner().to_database()?;
+        Ok(write_database(path.as_ref(), &db)?)
     }
 
     /// Turns on streaming persistence at `db_path`: unless the store is
@@ -529,10 +672,36 @@ impl GoofiStore {
     /// (for detail re-runs) the parent experiment to exist.
     pub fn log_experiment(&mut self, record: &ExperimentRecord) -> Result<()> {
         let _s = tracing::span(names::STORE_LOG_EXPERIMENT);
-        self.engine
-            .get_mut()
-            .append("LoggedSystemState", &record.to_row()?)?;
+        let base = self.reference(&record.campaign)?;
+        let row = rowcodec::compact_row(record, base.as_deref());
+        self.engine.get_mut().append(LSS, &row)?;
         Ok(())
+    }
+
+    /// The reference record of `campaign`, the base of its experiment
+    /// rows, once it has been logged.
+    fn reference(&self, campaign: &str) -> Result<Option<Arc<ExperimentRecord>>> {
+        if let Some(reference) = self.references.borrow().get(campaign) {
+            return Ok(Some(Arc::clone(reference)));
+        }
+        let Some(row) = self.row(LSS, &reference_experiment_name(campaign))? else {
+            return Ok(None);
+        };
+        // Nothing precedes a reference row, so it is on the empty base.
+        let reference = Arc::new(rowcodec::expand_row(&row, None)?);
+        self.references
+            .borrow_mut()
+            .insert(campaign.to_owned(), Arc::clone(&reference));
+        Ok(Some(reference))
+    }
+
+    /// The record of the physical experiment row `row`.
+    fn expand(&self, row: &[Value]) -> Result<ExperimentRecord> {
+        let base = match rowcodec::on_reference(row)? {
+            true => self.reference(text_at(row, 2).unwrap_or_default())?,
+            false => None,
+        };
+        rowcodec::expand_row(row, base.as_deref())
     }
 
     /// Fetches one experiment row.
@@ -542,9 +711,9 @@ impl GoofiStore {
     /// [`GoofiError::Protocol`] if absent or corrupt.
     pub fn get_experiment(&self, name: &str) -> Result<ExperimentRecord> {
         let row = self
-            .row("LoggedSystemState", name)?
+            .row(LSS, name)?
             .ok_or_else(|| GoofiError::Protocol(format!("no experiment `{name}`")))?;
-        ExperimentRecord::from_row(&row)
+        self.expand(&row)
     }
 
     /// All experiments of a campaign, reference run first, then by name.
@@ -553,12 +722,11 @@ impl GoofiStore {
     ///
     /// [`GoofiError::Database`] / [`GoofiError::Protocol`] on corrupt rows.
     pub fn experiments_of(&self, campaign: &str) -> Result<Vec<ExperimentRecord>> {
-        let rows = self.engine.borrow_mut().index_scan(
-            "LoggedSystemState",
-            LSS_INDEX,
-            &[Value::from(campaign)],
-        )?;
-        rows.iter().map(|r| ExperimentRecord::from_row(r)).collect()
+        let rows = self
+            .engine
+            .borrow_mut()
+            .index_scan(LSS, LSS_INDEX, &[Value::from(campaign)])?;
+        rows.iter().map(|r| self.expand(r)).collect()
     }
 
     // ------------------------------------------------------------------
@@ -1192,5 +1360,182 @@ mod tests {
         assert!(!plain.journaling() && !churned.journaling());
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
+    }
+
+    /// The physical row of experiment `name`, as the engine holds it.
+    fn physical(store: &GoofiStore, name: &str) -> Row {
+        store.row(LSS, name).unwrap().unwrap()
+    }
+
+    /// A campaign's records: its reference, then rows that differ from
+    /// it in a few bytes, one with a detail trace and a parent.
+    fn campaign_records() -> Vec<ExperimentRecord> {
+        let mut reference = record("c1/ref", None);
+        reference.data.fault = None;
+        reference.state_vector = (0..=255).cycle().take(1700).collect();
+        let mut out = vec![reference.clone()];
+        for i in 0..4usize {
+            let mut r = record(&format!("c1/{i:05}"), None);
+            r.state_vector = reference.state_vector.clone();
+            r.state_vector[i * 300] ^= 0x10;
+            r.data.outputs = reference.data.outputs.clone();
+            out.push(r);
+        }
+        let mut detail = record("c1/00001-detail", Some("c1/00001"));
+        detail.data.detail_trace = Some(vec![vec![1, 2, 3], vec![4]]);
+        out.push(detail);
+        out
+    }
+
+    #[test]
+    fn rows_logged_after_the_reference_are_stored_against_it() {
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        let records = campaign_records();
+        for r in &records {
+            store.log_experiment(r).unwrap();
+        }
+        let reference = &records[0];
+        for r in &records {
+            let row = physical(&store, &r.name);
+            assert_eq!(rowcodec::on_reference(&row).unwrap(), r != reference);
+            let Value::Blob(delta) = &row[4] else {
+                panic!("{row:?}");
+            };
+            assert!(r == reference || delta.len() < 16, "{}: {delta:?}", r.name);
+            assert_eq!(&store.get_experiment(&r.name).unwrap(), r);
+        }
+        let mut by_name = records.clone();
+        by_name.sort_by(|a, b| a.name.cmp(&b.name));
+        assert_eq!(store.experiments_of("c1").unwrap(), by_name);
+    }
+
+    #[test]
+    fn a_row_logged_before_its_reference_roundtrips_on_the_empty_base() {
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        let records = campaign_records();
+        let early = &records[1];
+        store.log_experiment(early).unwrap();
+        store.log_experiment(&records[0]).unwrap();
+        store.log_experiment(&records[2]).unwrap();
+        assert!(!rowcodec::on_reference(&physical(&store, &early.name)).unwrap());
+        assert!(rowcodec::on_reference(&physical(&store, &records[2].name)).unwrap());
+        for r in &records[..3] {
+            assert_eq!(&store.get_experiment(&r.name).unwrap(), r);
+        }
+        // The logical view and a store made of it agree with the records.
+        let again = GoofiStore::from_database(&store.to_database().unwrap()).unwrap();
+        for r in &records[..3] {
+            assert_eq!(&again.get_experiment(&r.name).unwrap(), r);
+        }
+        assert!(!rowcodec::on_reference(&physical(&again, &early.name)).unwrap());
+    }
+
+    /// A file written by the store before rows were compact: its
+    /// `LoggedSystemState` holds JSON text and full vectors. It loads
+    /// with the same records, is rewritten compact once, and a second
+    /// load leaves it as it is.
+    #[test]
+    fn parent_format_files_migrate_once_to_compact_rows() {
+        let path = std::env::temp_dir().join("goofi_store_compact_migrate.db");
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        for r in &campaign_records() {
+            store.log_experiment(r).unwrap();
+        }
+        let logical = store.to_database().unwrap();
+        write_database(&path, &logical).unwrap();
+        let data_type = |path: &Path| {
+            PagedEngine::open(path)
+                .unwrap()
+                .schema_of(LSS)
+                .and_then(|s| s.column("experimentData"))
+                .unwrap()
+                .ty()
+        };
+        assert_eq!(data_type(&path), ValueType::Text);
+        let before = std::fs::metadata(&path).unwrap().len();
+
+        let loaded = GoofiStore::load(&path).unwrap();
+        assert_eq!(
+            loaded.experiments_of("c1").unwrap(),
+            store.experiments_of("c1").unwrap()
+        );
+        for r in campaign_records() {
+            assert_eq!(loaded.get_experiment(&r.name).unwrap(), r);
+        }
+        assert_eq!(
+            loaded.to_database().unwrap().logical_dump(),
+            logical.logical_dump()
+        );
+        drop(loaded);
+        assert_eq!(data_type(&path), ValueType::Blob);
+        let migrated = std::fs::read(&path).unwrap();
+        assert!((migrated.len() as u64) < before);
+        assert_eq!(std::fs::metadata(wal_path(&path)).map_or(0, |m| m.len()), 0);
+
+        let again = GoofiStore::load(&path).unwrap();
+        assert_eq!(again.experiments_of("c1").unwrap().len(), 6);
+        drop(again);
+        assert_eq!(std::fs::read(&path).unwrap(), migrated, "rewritten twice");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(wal_path(&path)).ok();
+    }
+
+    /// For a campaign run through the store, the logical view holds
+    /// exactly the rows of the records the runner logged.
+    #[test]
+    fn logical_view_rows_are_the_logged_records_rows() {
+        use crate::testutil::MiniTarget;
+        use crate::{CampaignRunner, RunOptions, TargetSystemInterface, Technique};
+        let mut t = MiniTarget::new();
+        let c = Campaign::builder("mini-c", "mini", "w")
+            .technique(Technique::Scifi)
+            .select(LocationSelector::Chain {
+                chain: "cpu".into(),
+                field: Some("R0".into()),
+            })
+            .window(0, 19)
+            .experiments(12)
+            .seed(42)
+            .build()
+            .unwrap();
+        let mut store = GoofiStore::new();
+        store.put_target(&t.describe()).unwrap();
+        store.put_campaign(&c).unwrap();
+        let result = CampaignRunner::new(&mut t, &c)
+            .store(&mut store)
+            .run()
+            .unwrap();
+        let plan = crate::runner::plan_campaign(&mut MiniTarget::new(), &c, &RunOptions::default())
+            .unwrap();
+        let mut expected = vec![plan.reference_record(&c).to_row().unwrap()];
+        for (i, run) in result.runs.iter().enumerate() {
+            expected.push(plan.record(&c, i, run).to_row().unwrap());
+        }
+        let db = store.to_database().unwrap();
+        let mut rows: Vec<Row> = db
+            .table(LSS)
+            .unwrap()
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        let key = |r: &Row| r[0].as_text().unwrap_or_default().to_owned();
+        rows.sort_by_key(key);
+        expected.sort_by_key(key);
+        assert_eq!(rows, expected);
+        assert_eq!(
+            db.table(LSS)
+                .unwrap()
+                .schema()
+                .column("experimentData")
+                .unwrap()
+                .ty(),
+            ValueType::Text
+        );
     }
 }

@@ -1,9 +1,10 @@
 //! Property-based tests for framework invariants.
 
 use goofi_core::{
-    classify, generate_fault_list, wilson, Campaign, ChainInfo, ExperimentRun, FaultModel,
-    FieldInfo, LivenessAnalysis, Location, LocationSelector, Outcome, PlannedFault, StateVector,
-    TargetEvent, TargetSystemConfig, TraceStep, TriggerPolicy,
+    classify, generate_fault_list, rowcodec, wilson, Campaign, ChainInfo, ExperimentData,
+    ExperimentRecord, ExperimentRun, FaultModel, FieldInfo, LivenessAnalysis, Location,
+    LocationSelector, Outcome, PlannedFault, StateVector, TargetEvent, TargetSystemConfig,
+    TraceStep, TriggerPolicy,
 };
 use proptest::prelude::*;
 
@@ -75,7 +76,156 @@ fn run_with(
     }
 }
 
+/// Every termination the row codec must carry.
+fn arb_any_event() -> impl Strategy<Value = TargetEvent> {
+    prop_oneof![
+        Just(TargetEvent::Halted),
+        Just(TargetEvent::TimedOut),
+        Just(TargetEvent::IterationsDone),
+        any::<u64>().prop_map(|time| TargetEvent::BreakpointHit { time }),
+        ("[a-z-]{0,12}", "[ -~]{0,24}")
+            .prop_map(|(mechanism, detail)| TargetEvent::Detected { mechanism, detail }),
+    ]
+}
+
+fn arb_location() -> impl Strategy<Value = Location> {
+    prop_oneof![
+        ("[a-z]{1,6}", any::<usize>()).prop_map(|(chain, bit)| Location::ChainBit { chain, bit }),
+        (any::<u32>(), any::<u8>()).prop_map(|(addr, bit)| Location::MemoryBit { addr, bit }),
+    ]
+}
+
+fn arb_fault() -> impl Strategy<Value = PlannedFault> {
+    let model = prop_oneof![
+        Just(FaultModel::BitFlip),
+        any::<usize>().prop_map(|bits| FaultModel::MultiBitFlip { bits }),
+        (any::<bool>(), any::<u64>()).prop_map(|(value, reassert_period)| FaultModel::StuckAt {
+            value,
+            reassert_period
+        }),
+        any::<usize>().prop_map(|activations| FaultModel::Intermittent { activations }),
+    ];
+    (
+        model,
+        proptest::collection::vec(arb_location(), 1..4),
+        proptest::collection::vec(any::<u64>(), 1..6),
+    )
+        .prop_map(|(model, targets, times)| PlannedFault {
+            model,
+            targets,
+            times,
+        })
+}
+
+fn arb_data() -> impl Strategy<Value = ExperimentData> {
+    let trace = proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..4);
+    (
+        (any::<bool>(), arb_fault()),
+        arb_any_event(),
+        proptest::collection::vec(any::<u32>(), 0..20),
+        (any::<u32>(), any::<u64>()),
+        (any::<bool>(), trace),
+    )
+        .prop_map(
+            |(
+                (faulted, fault),
+                termination,
+                outputs,
+                (iterations, instructions),
+                (traced, trace),
+            )| {
+                ExperimentData {
+                    fault: faulted.then_some(fault),
+                    termination,
+                    outputs,
+                    iterations,
+                    instructions,
+                    detail_trace: traced.then_some(trace),
+                }
+            },
+        )
+}
+
+fn arb_record() -> impl Strategy<Value = ExperimentRecord> {
+    (
+        ("[a-z]{1,8}", "[0-9]{1,5}", any::<bool>()),
+        arb_data(),
+        proptest::collection::vec(any::<u8>(), 0..96),
+    )
+        .prop_map(
+            |((campaign, index, has_parent), data, state_vector)| ExperimentRecord {
+                name: format!("{campaign}/{index}"),
+                parent: has_parent.then(|| format!("{campaign}/0")),
+                campaign,
+                data,
+                state_vector,
+            },
+        )
+}
+
+/// `record` moved close to `base`, as most experiments are to their
+/// reference: outputs, termination and instruction count copied when
+/// `same` says so, and the base's vector with a few bytes flipped,
+/// shortened, kept or lengthened by `len_shape`.
+fn near(
+    mut record: ExperimentRecord,
+    base: &ExperimentRecord,
+    same: u8,
+    len_shape: u8,
+    seed: u64,
+) -> ExperimentRecord {
+    if same & 1 != 0 {
+        record.data.termination = base.data.termination.clone();
+    }
+    if same & 2 != 0 {
+        record.data.outputs = base.data.outputs.clone();
+    }
+    if same & 4 != 0 {
+        record.data.instructions = base.data.instructions;
+    }
+    let mut vector = base.state_vector.clone();
+    let k = (seed % 7) as usize + 1;
+    match len_shape {
+        0 => vector.truncate(vector.len().saturating_sub(k)),
+        1 => {}
+        _ => vector.extend((0..k).map(|i| (seed >> i) as u8)),
+    }
+    for i in 0..(seed % 4) as usize {
+        if !vector.is_empty() {
+            let at = (seed.rotate_left(i as u32 * 13) as usize) % vector.len();
+            vector[at] ^= 1 << (i % 8);
+        }
+    }
+    record.state_vector = vector;
+    record
+}
+
 proptest! {
+    /// The compact row codec is lossless and a function of (record,
+    /// base) alone, on the empty base, on an arbitrary base and on a base
+    /// the record is close to, with vectors shorter than, as long as and
+    /// longer than the base's.
+    #[test]
+    fn compact_rows_roundtrip_on_any_base(
+        record in arb_record(),
+        reference in arb_record(),
+        other in arb_record(),
+        shape in (0u8..3, 0u8..8, 0u8..3, any::<u64>()),
+    ) {
+        let (kind, same, len_shape, seed) = shape;
+        let (record, base) = match kind {
+            0 => (record, None),
+            1 => (record, Some(reference)),
+            _ => (near(record, &reference, same, len_shape, seed), Some(reference)),
+        };
+        let bytes = rowcodec::encode(&record, base.as_ref());
+        prop_assert_eq!(rowcodec::decode(&bytes, base.as_ref()).unwrap(), record.clone());
+        // No state carries over from one encoding to the next.
+        let _ = rowcodec::encode(&other, base.as_ref());
+        let _ = rowcodec::encode(&record, Some(&other));
+        prop_assert_eq!(rowcodec::encode(&record.clone(), base.clone().as_ref()), bytes);
+    }
+
     /// The classifier is total: every (termination, outputs, state) lands
     /// in exactly one of the four §3.4 classes, and the partition between
     /// effective and non-effective is consistent.

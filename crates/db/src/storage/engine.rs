@@ -27,7 +27,6 @@
 //! A memory-backed engine ([`PagedEngine::memory`]) has no data file
 //! and no WAL: nothing is checkpointed, so the no-steal pool holds
 //! every page. It is the store of a database that has not been saved.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use super::btree::BTree;
 use super::buffer::BufferPool;
@@ -267,14 +266,6 @@ impl PagedEngine {
     /// buffer pool and nothing is logged.
     pub fn memory() -> PagedEngine {
         PagedEngine::empty(DiskManager::memory(), Wal::memory())
-    }
-
-    /// A memory-backed engine holding `db`'s logical content (tables in
-    /// name order, live rows in row-id order).
-    pub fn from_database(db: &Database) -> Result<PagedEngine, DbError> {
-        let mut engine = PagedEngine::memory();
-        engine.fill(db)?;
-        Ok(engine)
     }
 
     /// Opens the engine at `path`, running WAL recovery: reapply a
@@ -1234,8 +1225,13 @@ mod tests {
             (0, 0, 0)
         );
         let db = e.to_database().unwrap();
-        let mut copy = PagedEngine::from_database(&db).unwrap();
-        assert_eq!(copy.rows("T").unwrap(), rows);
+        let copied: Vec<Row> = db
+            .table("T")
+            .unwrap()
+            .iter()
+            .map(|(_, r)| r.clone())
+            .collect();
+        assert_eq!(copied, rows);
     }
 
     fn indexed_schema() -> TableSchema {

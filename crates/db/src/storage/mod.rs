@@ -25,6 +25,7 @@
 //!
 //! See `DESIGN.md` §storage for the page format, the WAL record
 //! layout, the checkpoint protocol and the recovery invariants.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod btree;
 mod buffer;

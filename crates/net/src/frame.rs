@@ -1,6 +1,6 @@
 //! The binary frame envelope: magic, version, kind, length, CRC.
 
-use crate::crc::crc32;
+use goofi_db::storage::crc32;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::io::{Read, Write};

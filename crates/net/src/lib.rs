@@ -37,12 +37,10 @@
 #![warn(missing_docs)]
 
 mod client;
-mod crc;
 mod frame;
 mod message;
 
 pub use client::RemoteService;
-pub use crc::crc32;
 pub use frame::{
     read_frame, write_frame, Frame, FrameKind, NetError, NetResult, MAX_FRAME_LEN, PROTOCOL_VERSION,
 };
