@@ -1,6 +1,6 @@
 //! Experiment E13: the paged storage engine (page heap + buffer pool +
 //! binary WAL + secondary index) against the seed JSON-snapshot +
-//! line-journal backend.
+//! line-journal backend, whose writer `goofi_bench::e13` keeps.
 //!
 //! Measures, at `GOOFI_E13_ROWS` rows (default 100 000):
 //!

@@ -15,14 +15,19 @@
 //!    path (constraint checks, WAL record, in-page heap write, primary
 //!    key and declared secondary index) is self-contained, which is
 //!    exactly the architectural win measured.
+//!    `goofi-db` only reads the seed format now (`Database::load`), so
+//!    the seed's writer lives here, as `run_seed_backend`.
 //! 2. **Point lookup** — `campaignName = ? AND experimentName = ?`
 //!    through the declared secondary index versus the full-scan
 //!    reference executor.
 //! 3. **Crash recovery** — reopening a paged file whose WAL holds half
 //!    the population past the last checkpoint.
 
-use goofi_db::storage::{wal_path, PagedEngine};
-use goofi_db::{Column, Database, Expr, Insert, Journal, Select, TableSchema, Value, ValueType};
+use goofi_db::storage::PagedEngine;
+use goofi_db::{Column, Database, Expr, Insert, Select, TableSchema, Value, ValueType};
+use std::fs::{self, File};
+use std::io::Write;
+use std::path::Path;
 use std::time::Instant;
 
 /// Campaigns the synthetic rows are spread over (round-robin).
@@ -98,6 +103,53 @@ pub struct BackendRun {
     pub checkpoints: usize,
 }
 
+/// The seed backend's sustained append at `path`: per row, a
+/// `{"table":…,"row":[…]}` JSON line appended to the `.journal` sidecar
+/// and flushed, plus the insert into the in-memory [`Database`]; every
+/// `ckpt_every` rows, the whole database as JSON to a `.tmp` sibling,
+/// renamed over the snapshot, then the journal truncated.
+fn run_seed_backend(path: &Path, rows: usize, ckpt_every: usize) -> BackendRun {
+    let tmp = path.with_extension("json.tmp");
+    let snapshot = |db: &Database| {
+        fs::write(&tmp, db.to_json().expect("snapshot serialises")).expect("snapshot write");
+        fs::rename(&tmp, path).expect("snapshot rename");
+    };
+    let mut db = Database::new();
+    db.create_table(plain_schema()).expect("fresh db");
+    snapshot(&db);
+    let mut journal = File::options()
+        .create(true)
+        .append(true)
+        .open(goofi_db::journal_path(path))
+        .expect("journal opens");
+    let mut checkpoints = 0;
+    let t0 = Instant::now();
+    for i in 0..rows {
+        let row = experiment_row(i);
+        let line = format!(
+            "{{\"table\":\"{TABLE}\",\"row\":{}}}\n",
+            serde_json::to_string(&row).expect("row serialises")
+        );
+        journal
+            .write_all(line.as_bytes())
+            .and_then(|()| journal.flush())
+            .expect("journal append");
+        db.insert(Insert::into(TABLE, row)).expect("insert");
+        if (i + 1) % ckpt_every == 0 {
+            snapshot(&db);
+            journal.set_len(0).expect("journal truncate");
+            checkpoints += 1;
+        }
+    }
+    let wall_s = t0.elapsed().as_secs_f64();
+    BackendRun {
+        wall_s,
+        rows_per_s: rows as f64 / wall_s,
+        file_bytes: fs::metadata(path).map(|m| m.len()).unwrap_or(0),
+        checkpoints,
+    }
+}
+
 /// Everything E13 measures; [`to_json`] serialises it for CI.
 #[derive(Debug, Clone)]
 pub struct E13Results {
@@ -138,26 +190,7 @@ pub fn run_e13(rows: usize, checkpoints: usize, lookups: usize) -> E13Results {
 
     // --- Seed backend: JSON snapshot + line journal -------------------
     let json_path = dir.join("seed.json");
-    let mut db = Database::new();
-    db.create_table(plain_schema()).expect("fresh db");
-    db.save(&json_path).expect("initial snapshot");
-    let mut journal = Journal::open(&json_path).expect("journal opens");
-    let mut json_ckpts = 0;
-    let t0 = Instant::now();
-    for i in 0..rows {
-        let row = experiment_row(i);
-        journal.append(TABLE, &row).expect("journal append");
-        db.insert(Insert::into(TABLE, row)).expect("insert");
-        if (i + 1) % ckpt_every == 0 {
-            db.save(&json_path).expect("snapshot");
-            journal.truncate().expect("journal truncate");
-            json_ckpts += 1;
-        }
-    }
-    let json_wall = t0.elapsed().as_secs_f64();
-    let json_bytes = std::fs::metadata(&json_path).map(|m| m.len()).unwrap_or(0);
-    drop(journal);
-    drop(db);
+    let json_run = run_seed_backend(&json_path, rows, ckpt_every);
 
     // --- Paged engine: WAL append + page-flush checkpoint -------------
     let paged_path = dir.join("paged.db");
@@ -229,16 +262,9 @@ pub fn run_e13(rows: usize, checkpoints: usize, lookups: usize) -> E13Results {
     assert_eq!(scan_hits, scan_lookups, "scan lookups missed rows");
 
     let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_file(wal_path(&json_path));
 
     let per_indexed = indexed_wall / indexed_done as f64;
     let per_scan = scan_wall / scan_lookups as f64;
-    let json_run = BackendRun {
-        wall_s: json_wall,
-        rows_per_s: rows as f64 / json_wall,
-        file_bytes: json_bytes,
-        checkpoints: json_ckpts,
-    };
     let paged_run = BackendRun {
         wall_s: paged_wall,
         rows_per_s: rows as f64 / paged_wall,

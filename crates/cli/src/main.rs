@@ -1747,9 +1747,13 @@ mod tests {
     #[test]
     fn db_compact_migrates_legacy_json_snapshots() {
         let db = tmpdb("dblegacy.json");
-        // Write a legacy JSON snapshot directly (pre-engine on-disk format).
-        let store = GoofiStore::new();
-        store.to_database().unwrap().save(&db).unwrap();
+        // A JSON-era snapshot and its journal (pre-engine on-disk format).
+        let fixture = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../tests/fixtures/json-era.json"
+        );
+        std::fs::copy(fixture, &db).unwrap();
+        std::fs::copy(goofi_db::journal_path(fixture), goofi_db::journal_path(&db)).unwrap();
         let err = call(&["db", "stats", "--db", &db]).unwrap_err();
         assert!(err.contains("legacy JSON"), "{err}");
         let out = call(&["db", "compact", "--db", &db]).unwrap();

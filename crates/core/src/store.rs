@@ -26,9 +26,7 @@ use crate::fault::PlannedFault;
 use crate::rowcodec;
 use crate::target::{TargetEvent, TargetSystemConfig};
 use goofi_db::storage::{decode_row, encode_row, is_paged_file, write_database, PagedEngine};
-use goofi_db::{
-    journal_path, Column, Database, DbError, Insert, Row, TableSchema, Value, ValueType,
-};
+use goofi_db::{journal_path, Column, Database, Insert, Row, TableSchema, Value, ValueType};
 use goofi_telemetry::{names, CampaignTelemetry};
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -223,43 +221,6 @@ fn experiment_schema(data: ValueType) -> TableSchema {
     .expect("static schema")
 }
 
-/// Schema of the `StaticAnalysisData` table: one row per campaign that
-/// ran with static pruning, holding the persisted
-/// [`StaticAnalysis`] result. Like `CampaignTelemetry`, it sits outside
-/// the experiment-row FK graph so experiment rows stay byte-identical
-/// whether pruning was trace-based or static.
-fn static_analysis_schema() -> TableSchema {
-    TableSchema::new(
-        "StaticAnalysisData",
-        vec![
-            Column::new("campaignName", ValueType::Text)
-                .primary_key()
-                .references("CampaignData", "campaignName"),
-            Column::new("horizon", ValueType::Integer).not_null(),
-            Column::new("analysisJson", ValueType::Text).not_null(),
-        ],
-    )
-    .expect("static schema")
-}
-
-/// Schema of the `CampaignTelemetry` rollup table. Factored out so
-/// [`GoofiStore::load`] can create it when opening a database written
-/// before the table existed.
-fn telemetry_schema() -> TableSchema {
-    TableSchema::new(
-        "CampaignTelemetry",
-        vec![
-            Column::new("campaignName", ValueType::Text)
-                .primary_key()
-                .references("CampaignData", "campaignName"),
-            Column::new("workers", ValueType::Integer).not_null(),
-            Column::new("wallNanos", ValueType::Integer).not_null(),
-            Column::new("telemetryJson", ValueType::Text).not_null(),
-        ],
-    )
-    .expect("static schema")
-}
-
 /// Name of the declared secondary index on `LoggedSystemState`
 /// (`campaignName`, `experimentName`): campaign report scans and resume
 /// walk it instead of scanning every experiment row.
@@ -270,7 +231,7 @@ const LSS_INDEX: &str = "byCampaignExperiment";
 /// Every row lives once, in a [`PagedEngine`]: memory-backed until the
 /// store is [saved](GoofiStore::save) or
 /// [journaled](GoofiStore::enable_journal), file-backed after that and
-/// after [`GoofiStore::load`] of a paged file. The engine checks the
+/// after [`GoofiStore::load`]. The engine checks the
 /// schema's constraints (types, NOT NULL, primary and foreign keys) on
 /// every insert. It sits in a `RefCell` because reads fault pages into
 /// its buffer pool while the read API takes `&self`.
@@ -311,41 +272,72 @@ fn text_at(row: &[Value], col: usize) -> Option<&str> {
     row.get(col).and_then(Value::as_text)
 }
 
+/// The store's five tables, as [`GoofiStore::new`] declares them. A
+/// paged file whose catalog holds each of them, by name, is current
+/// (see [`GoofiStore::load`]).
+fn schemas() -> [TableSchema; 5] {
+    [
+        TableSchema::new(
+            "TargetSystemData",
+            vec![
+                Column::new("testCardName", ValueType::Text).primary_key(),
+                Column::new("description", ValueType::Text),
+                Column::new("configJson", ValueType::Text).not_null(),
+            ],
+        ),
+        TableSchema::new(
+            "CampaignData",
+            vec![
+                Column::new("campaignName", ValueType::Text).primary_key(),
+                Column::new("testCardName", ValueType::Text)
+                    .not_null()
+                    .references("TargetSystemData", "testCardName"),
+                Column::new("workload", ValueType::Text).not_null(),
+                Column::new("technique", ValueType::Text).not_null(),
+                Column::new("faultModel", ValueType::Text).not_null(),
+                Column::new("nrOfExperiments", ValueType::Integer).not_null(),
+                Column::new("logMode", ValueType::Text).not_null(),
+                Column::new("campaignJson", ValueType::Text).not_null(),
+            ],
+        ),
+        Ok(experiment_schema(ValueType::Blob)),
+        // The telemetry rollup, one row per campaign.
+        TableSchema::new(
+            "CampaignTelemetry",
+            vec![
+                Column::new("campaignName", ValueType::Text)
+                    .primary_key()
+                    .references("CampaignData", "campaignName"),
+                Column::new("workers", ValueType::Integer).not_null(),
+                Column::new("wallNanos", ValueType::Integer).not_null(),
+                Column::new("telemetryJson", ValueType::Text).not_null(),
+            ],
+        ),
+        // One row per campaign that ran with static pruning, holding the
+        // persisted `StaticAnalysis`. Like `CampaignTelemetry`, it sits
+        // outside the experiment-row FK graph so experiment rows stay
+        // byte-identical whether pruning was trace-based or static.
+        TableSchema::new(
+            "StaticAnalysisData",
+            vec![
+                Column::new("campaignName", ValueType::Text)
+                    .primary_key()
+                    .references("CampaignData", "campaignName"),
+                Column::new("horizon", ValueType::Integer).not_null(),
+                Column::new("analysisJson", ValueType::Text).not_null(),
+            ],
+        ),
+    ]
+    .map(|schema| schema.expect("static schema"))
+}
+
 impl GoofiStore {
     /// Creates an empty, memory-backed store with the GOOFI schema.
     pub fn new() -> GoofiStore {
         let mut engine = PagedEngine::memory();
-        let schemas = [
-            TableSchema::new(
-                "TargetSystemData",
-                vec![
-                    Column::new("testCardName", ValueType::Text).primary_key(),
-                    Column::new("description", ValueType::Text),
-                    Column::new("configJson", ValueType::Text).not_null(),
-                ],
-            ),
-            TableSchema::new(
-                "CampaignData",
-                vec![
-                    Column::new("campaignName", ValueType::Text).primary_key(),
-                    Column::new("testCardName", ValueType::Text)
-                        .not_null()
-                        .references("TargetSystemData", "testCardName"),
-                    Column::new("workload", ValueType::Text).not_null(),
-                    Column::new("technique", ValueType::Text).not_null(),
-                    Column::new("faultModel", ValueType::Text).not_null(),
-                    Column::new("nrOfExperiments", ValueType::Integer).not_null(),
-                    Column::new("logMode", ValueType::Text).not_null(),
-                    Column::new("campaignJson", ValueType::Text).not_null(),
-                ],
-            ),
-            Ok(experiment_schema(ValueType::Blob)),
-            Ok(telemetry_schema()),
-            Ok(static_analysis_schema()),
-        ];
-        for schema in schemas {
+        for schema in schemas() {
             engine
-                .create_table(&schema.expect("static schema"))
+                .create_table(&schema)
                 .expect("static schema names distinct tables");
         }
         GoofiStore::from_engine(engine)
@@ -392,8 +384,9 @@ impl GoofiStore {
     /// lacks are created empty.
     ///
     /// This is the only way logical experiment rows enter a store: a
-    /// legacy JSON snapshot, a paged file written before compact rows and
-    /// the write-back of a mutating `goofi sql` all come through here.
+    /// file [`GoofiStore::load`] finds not current (a JSON-era snapshot,
+    /// a paged file written before compact rows) and the write-back of a
+    /// mutating `goofi sql` both come through here.
     ///
     /// # Errors
     ///
@@ -455,64 +448,42 @@ impl GoofiStore {
         Ok(())
     }
 
-    /// Loads a store from a file written by [`GoofiStore::save`]. A paged
-    /// file is opened in place, so later mutations stream into its
-    /// write-ahead log; opening recovers any log tail past the last
-    /// checkpoint (tolerating a torn final record). Legacy JSON
-    /// snapshots — including their sidecar journals — load into a
-    /// memory-backed store.
+    /// Loads a store from a file written by [`GoofiStore::save`].
     ///
-    /// Databases written before the `CampaignTelemetry` and
-    /// `StaticAnalysisData` tables or the `LoggedSystemState` index
-    /// existed gain them here. A paged file is checkpointed at once when
-    /// that happens: catalog changes are not logged, so inserts into a
-    /// new table must not reach the log before the table reaches the
-    /// file. A paged file written before experiment rows were stored
-    /// compact (TEXT `experimentData`) is rewritten once, through
-    /// [`GoofiStore::from_database`].
+    /// A *current* file — a paged file whose catalog holds each of the
+    /// store's tables with the schema [`GoofiStore::new`] declares — is
+    /// opened in place, so later mutations stream into its write-ahead
+    /// log; opening recovers any log tail past the last checkpoint
+    /// (tolerating a torn final record). Any other file is read as a
+    /// logical [`Database`], rebuilt through [`GoofiStore::from_database`]
+    /// and written once at `path` in the current format, and a JSON-era
+    /// `.journal` sidecar beside it is removed. That covers a JSON-era
+    /// snapshot with its journal, a paged file written before experiment
+    /// rows were stored compact, and a paged file that lacks a table or
+    /// the `LoggedSystemState` index. A read-only command therefore
+    /// converts such a file too.
     ///
     /// # Errors
     ///
-    /// [`GoofiError::Database`] on I/O or schema failure.
+    /// [`GoofiError::Database`] on I/O or schema failure, and for a file
+    /// that is neither a paged database nor a JSON-era snapshot.
     pub fn load(path: impl AsRef<Path>) -> Result<GoofiStore> {
         let path = path.as_ref();
-        if !is_paged_file(path) {
-            return GoofiStore::from_database(&Database::load(path)?);
-        }
-        let mut engine = PagedEngine::open(path)?;
-        for table in ["TargetSystemData", "CampaignData", LSS] {
-            if engine.schema_of(table).is_none() {
-                return Err(DbError::NoSuchTable(table.to_owned()).into());
+        let db = if is_paged_file(path) {
+            let mut engine = PagedEngine::open(path)?;
+            if schemas()
+                .iter()
+                .all(|schema| engine.schema_of(schema.name()) == Some(schema))
+            {
+                return Ok(GoofiStore::from_engine(engine));
             }
-        }
-        let logical = engine
-            .schema_of(LSS)
-            .and_then(|s| s.column("experimentData"))
-            .is_some_and(|c| c.ty() == ValueType::Text);
-        if logical {
-            // Written before rows were stored compact: rewrite the file
-            // once, through the one way logical rows come in.
-            let db = engine.to_database()?;
-            drop(engine);
-            GoofiStore::from_database(&db)?.save(path)?;
-            engine = PagedEngine::open(path)?;
-        }
-        let mut migrated = false;
-        for schema in [telemetry_schema(), static_analysis_schema()] {
-            if engine.schema_of(schema.name()).is_none() {
-                engine.create_table(&schema)?;
-                migrated = true;
-            }
-        }
-        migrated |= engine.declare_index(
-            "LoggedSystemState",
-            LSS_INDEX,
-            &["campaignName", "experimentName"],
-        )?;
-        if migrated {
-            engine.checkpoint()?;
-        }
-        Ok(GoofiStore::from_engine(engine))
+            engine.to_database()?
+        } else {
+            Database::load(path)?
+        };
+        GoofiStore::from_database(&db)?.save(path)?;
+        let _ = std::fs::remove_file(journal_path(path));
+        Ok(GoofiStore::from_engine(PagedEngine::open(path)?))
     }
 
     /// Rewrites the database as a fresh paged file at `path` (which may
@@ -534,9 +505,7 @@ impl GoofiStore {
     /// checksummed record per change). A checkpointed campaign writes
     /// O(rows) bytes total instead of one full snapshot per experiment,
     /// and a crashed campaign is recovered by [`GoofiStore::load`] +
-    /// resume. Any stale legacy `<db_path>.journal` sidecar is removed —
-    /// its rows were replayed at load time and are captured by the paged
-    /// rewrite.
+    /// resume.
     ///
     /// # Errors
     ///
@@ -549,15 +518,8 @@ impl GoofiStore {
             return Ok(());
         }
         write_database(path, &engine.to_database()?)?;
-        let _ = std::fs::remove_file(journal_path(path));
         *engine = PagedEngine::open(path)?;
         Ok(())
-    }
-
-    /// Whether the store is file-backed, so mutations stream into a
-    /// write-ahead log.
-    pub fn journaling(&self) -> bool {
-        self.engine.borrow().path().is_some()
     }
 
     /// The row of `table` with primary key `key`.
@@ -1142,8 +1104,8 @@ mod tests {
         }
         let dir = std::env::temp_dir().join("goofi_store_tel_migrate");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("legacy.json");
-        legacy.save(&path).unwrap();
+        let path = dir.join("legacy.db");
+        write_database(&path, &legacy).unwrap();
         let store = GoofiStore::load(&path).unwrap();
         assert!(store
             .to_database()
@@ -1357,7 +1319,8 @@ mod tests {
         plain.save(&a).unwrap();
         churned.save(&b).unwrap();
         assert_eq!(std::fs::read(&a).unwrap(), std::fs::read(&b).unwrap());
-        assert!(!plain.journaling() && !churned.journaling());
+        assert!(plain.engine.get_mut().path().is_none());
+        assert!(churned.engine.get_mut().path().is_none());
         std::fs::remove_file(&a).ok();
         std::fs::remove_file(&b).ok();
     }
@@ -1484,6 +1447,60 @@ mod tests {
         assert_eq!(std::fs::read(&path).unwrap(), migrated, "rewritten twice");
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(wal_path(&path)).ok();
+    }
+
+    /// A current file loads in place, whatever its catalog order: the
+    /// store's own `save` writes tables in name order, an engine built
+    /// table by table keeps declaration order. Neither is rewritten.
+    #[test]
+    fn current_files_load_in_place_whatever_their_catalog_order() {
+        let dir = std::env::temp_dir();
+        let by_name = dir.join("goofi_store_current_by_name.db");
+        let declared = dir.join("goofi_store_current_declared.db");
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        store.log_experiment(&record("c1/001", None)).unwrap();
+        store.save(&by_name).unwrap();
+        {
+            let mut engine = PagedEngine::create(&declared).unwrap();
+            for schema in schemas() {
+                engine.create_table(&schema).unwrap();
+            }
+            engine.checkpoint().unwrap();
+        }
+        // A rewrite is byte-deterministic, so only the modification
+        // time tells a file left alone from one written again.
+        let long_ago = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+        let modified = |path: &Path| std::fs::metadata(path).unwrap().modified().unwrap();
+        for path in [&by_name, &declared] {
+            let file = std::fs::File::options().write(true).open(path).unwrap();
+            file.set_modified(long_ago).unwrap();
+            drop(file);
+            let before = std::fs::read(path).unwrap();
+            let loaded = GoofiStore::load(path).unwrap();
+            assert_eq!(loaded.engine.borrow().path(), Some(path.as_path()));
+            loaded.list_campaigns().unwrap();
+            drop(loaded);
+            assert_eq!(modified(path), long_ago, "{} was rewritten", path.display());
+            assert_eq!(std::fs::read(path).unwrap(), before, "{}", path.display());
+            std::fs::remove_file(path).ok();
+            std::fs::remove_file(wal_path(path)).ok();
+        }
+    }
+
+    #[test]
+    fn a_file_in_neither_format_is_named_in_the_error() {
+        let path = std::env::temp_dir().join("goofi_store_empty_file.db");
+        std::fs::write(&path, b"").unwrap();
+        let err = GoofiStore::load(&path).unwrap_err().to_string();
+        assert!(err.contains(&path.display().to_string()), "{err}");
+        assert!(
+            err.contains("neither a paged database nor a JSON-era snapshot"),
+            "{err}"
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"", "the file was written");
+        std::fs::remove_file(&path).ok();
     }
 
     /// For a campaign run through the store, the logical view holds

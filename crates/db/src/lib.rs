@@ -14,7 +14,8 @@
 //!   [`Delete`]) and a SQL text layer ([`Database::execute_sql`]),
 //! * inner joins, WHERE / GROUP BY / ORDER BY / LIMIT, aggregates
 //!   (COUNT / SUM / AVG / MIN / MAX),
-//! * snapshot transactions and JSON persistence.
+//! * snapshot transactions,
+//! * a paged on-disk engine with a write-ahead log ([`storage`]).
 //!
 //! # Examples
 //!
@@ -36,6 +37,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod database;
 mod error;
@@ -51,7 +53,7 @@ mod value;
 pub use database::Database;
 pub use error::DbError;
 pub use expr::{BinOp, Expr};
-pub use persist::{journal_path, Journal};
+pub use persist::journal_path;
 pub use query::{AggFunc, Delete, Insert, Join, ResultSet, Select, SelectItem, SortOrder, Update};
 pub use schema::{Column, ForeignKey, IndexSpec, TableSchema};
 pub use sql::SqlOutput;

@@ -1,27 +1,20 @@
-//! Persistence: snapshots plus an append-only row journal.
+//! The read-only JSON-era format: a JSON snapshot plus a line journal.
 //!
-//! The GOOFI paper stores all tool data in a portable SQL database so that
-//! campaigns survive host restarts and can be moved between host platforms;
-//! JSON on disk is our portable equivalent. Two mechanisms cooperate:
-//!
-//! * **Snapshots** — [`Database::save`] serialises the whole database and
-//!   writes it *atomically* (temp file in the same directory, then rename),
-//!   so a crash mid-write can never corrupt an existing database file.
-//! * **Journal** — a WAL-style sidecar file (`<db>.journal`) holding one
-//!   JSON line per appended row. Campaign runners append each finished
-//!   experiment as it completes — O(row) bytes per experiment instead of
-//!   re-serialising the whole database — and [`Database::load`] replays the
-//!   journal over the snapshot. Replay is idempotent: rows already captured
-//!   by a later snapshot are skipped, and a torn final line (crash while
-//!   appending) is ignored.
+//! Before the paged engine ([`crate::storage`]) a goofi database was a
+//! JSON snapshot of the whole [`Database`] beside an append-only
+//! sidecar, `<db>.journal`, holding one `{"table":…,"row":[…]}` JSON
+//! line per row appended after the snapshot. Nothing writes that format
+//! any more; [`Database::load`] still reads it, so that such a file can
+//! be rewritten in the paged format. [`Database::to_json`] and
+//! [`Database::from_json`] stay as a portable serialisation of a
+//! database.
 
 use crate::database::Database;
 use crate::error::DbError;
 use crate::query::Insert;
 use crate::value::Value;
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// Path of the journal sidecar belonging to a database file: the database
@@ -34,86 +27,12 @@ pub fn journal_path(db_path: impl AsRef<Path>) -> PathBuf {
 }
 
 /// One journalled row append.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Deserialize)]
 struct JournalEntry {
     /// Target table.
     table: String,
     /// Full-width row values.
     row: Vec<Value>,
-}
-
-/// An open append-only row journal (see the module docs).
-///
-/// A `Journal` belongs to one database file; keep it open for the duration
-/// of a campaign and call [`Journal::append`] once per finished row. After
-/// a full snapshot ([`Database::save`]) the journal contents are redundant
-/// and should be dropped with [`Journal::truncate`].
-#[derive(Debug)]
-pub struct Journal {
-    file: fs::File,
-    path: PathBuf,
-}
-
-impl Journal {
-    /// Opens (creating if needed) the journal sidecar of `db_path`.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on filesystem errors.
-    pub fn open(db_path: impl AsRef<Path>) -> Result<Journal, DbError> {
-        let path = journal_path(db_path);
-        let file = fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| DbError::Io(format!("open journal {}: {e}", path.display())))?;
-        Ok(Journal { file, path })
-    }
-
-    /// The journal file path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Appends one row destined for `table` as a single JSON line and
-    /// flushes it to the OS, so a finished experiment survives a tool
-    /// crash.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on serialisation or filesystem errors.
-    pub fn append(&mut self, table: &str, row: &[Value]) -> Result<(), DbError> {
-        // Span names are string literals (matching goofi-telemetry's
-        // `names::JOURNAL_*`) because the telemetry crate sits above this
-        // one in the dependency graph.
-        let write = {
-            let _s = tracing::span("journal.append");
-            let entry = JournalEntry {
-                table: table.to_owned(),
-                row: row.to_vec(),
-            };
-            let mut line = serde_json::to_string(&entry).map_err(|e| DbError::Io(e.to_string()))?;
-            line.push('\n');
-            self.file.write_all(line.as_bytes())
-        };
-        write
-            .and_then(|()| {
-                let _s = tracing::span("journal.fsync");
-                self.file.flush()
-            })
-            .map_err(|e| DbError::Io(format!("append journal {}: {e}", self.path.display())))
-    }
-
-    /// Empties the journal (after its rows were captured by a snapshot).
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on filesystem errors.
-    pub fn truncate(&mut self) -> Result<(), DbError> {
-        self.file
-            .set_len(0)
-            .map_err(|e| DbError::Io(format!("truncate journal {}: {e}", self.path.display())))
-    }
 }
 
 impl Database {
@@ -141,60 +60,45 @@ impl Database {
         Ok(db)
     }
 
-    /// Saves a full snapshot of the database to a file, atomically: the
-    /// JSON is written to a temporary file in the same directory and then
-    /// renamed into place, so a crash mid-write leaves any previous
-    /// database file intact.
-    ///
-    /// Snapshots supersede the journal; callers holding an open [`Journal`]
-    /// for this path should [`Journal::truncate`] it after a successful
-    /// save.
+    /// Loads a JSON-era database file — the reader for files that are
+    /// not paged ([`crate::storage::is_paged_file`]): the snapshot, then
+    /// its sidecar journal (if one exists), so rows appended after the
+    /// snapshot reappear. Replay skips rows the snapshot already holds
+    /// (unique-key collision) and tolerates a torn final line.
     ///
     /// # Errors
     ///
-    /// [`DbError::Io`] on filesystem errors.
-    pub fn save(&self, path: impl AsRef<Path>) -> Result<(), DbError> {
-        let path = path.as_ref();
-        let json = self.to_json()?;
-        let mut tmp_name = path.file_name().unwrap_or_default().to_os_string();
-        tmp_name.push(".tmp");
-        let tmp = path.with_file_name(tmp_name);
-        fs::write(&tmp, json).map_err(|e| DbError::Io(format!("write {}: {e}", tmp.display())))?;
-        fs::rename(&tmp, path).map_err(|e| {
-            let _ = fs::remove_file(&tmp);
-            DbError::Io(format!("rename into {}: {e}", path.display()))
-        })
-    }
-
-    /// Loads a database from a file written by [`Database::save`], then
-    /// replays the sidecar journal (if one exists) so rows appended after
-    /// the last snapshot reappear. Replay skips rows a snapshot already
-    /// holds (unique-key collision) and tolerates a torn final line.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::Io`] on filesystem or format errors, including a corrupt
+    /// [`DbError::Io`] on filesystem errors, for a file that is not a
+    /// JSON snapshot (naming the path and both formats) and for a corrupt
     /// (non-final) journal line.
     pub fn load(path: impl AsRef<Path>) -> Result<Database, DbError> {
         let path = path.as_ref();
-        let json = fs::read_to_string(path).map_err(|e| DbError::Io(e.to_string()))?;
-        let mut db = Database::from_json(&json)?;
-        db.replay_journal(journal_path(path))?;
+        let bytes = fs::read(path).map_err(|e| DbError::Io(format!("{}: {e}", path.display())))?;
+        let parsed = std::str::from_utf8(&bytes)
+            .map_err(|e| e.to_string())
+            .and_then(|json| serde_json::from_str::<Database>(json).map_err(|e| e.to_string()));
+        let mut db = parsed.map_err(|e| {
+            DbError::Io(format!(
+                "{} is neither a paged database nor a JSON-era snapshot ({e})",
+                path.display()
+            ))
+        })?;
+        db.rebuild_all_indexes();
+        db.replay_journal(&journal_path(path))?;
         Ok(db)
     }
 
-    /// Replays an append-only journal file into the database. Returns the
-    /// number of rows applied. Missing file means nothing to replay.
+    /// Replays an append-only journal file into the database. Missing
+    /// file means nothing to replay.
     ///
     /// # Errors
     ///
     /// [`DbError::Io`] on a corrupt non-final line; any non-duplicate
     /// insert error (unknown table, FK violation) is surfaced as-is.
-    pub fn replay_journal(&mut self, journal: impl AsRef<Path>) -> Result<usize, DbError> {
-        let journal = journal.as_ref();
+    fn replay_journal(&mut self, journal: &Path) -> Result<(), DbError> {
         let text = match fs::read_to_string(journal) {
             Ok(text) => text,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(0),
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(()),
             Err(e) => {
                 return Err(DbError::Io(format!(
                     "read journal {}: {e}",
@@ -203,7 +107,6 @@ impl Database {
             }
         };
         let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
-        let mut applied = 0;
         for (i, line) in lines.iter().enumerate() {
             let entry: JournalEntry = match serde_json::from_str(line) {
                 Ok(entry) => entry,
@@ -219,14 +122,14 @@ impl Database {
                 }
             };
             match self.insert(Insert::into(entry.table, entry.row)) {
-                Ok(_) => applied += 1,
+                Ok(_) => {}
                 // Row already captured by a later snapshot: replay must be
                 // idempotent.
                 Err(DbError::UniqueViolation { .. }) => {}
                 Err(e) => return Err(e),
             }
         }
-        Ok(applied)
+        Ok(())
     }
 }
 
@@ -264,13 +167,26 @@ mod tests {
         db
     }
 
-    fn tmpdir(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir()
-            .join("goofi_db_persist_test")
-            .join(name);
+    /// Writes `db` as a JSON-era snapshot at `dir/db.json` with `journal`
+    /// as its sidecar's text (no sidecar for `None`).
+    fn json_era_file(dir: &str, db: &Database, journal: Option<&str>) -> PathBuf {
+        let dir = std::env::temp_dir().join("goofi_db_persist_test").join(dir);
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).unwrap();
-        dir
+        let path = dir.join("db.json");
+        fs::write(&path, db.to_json().unwrap()).unwrap();
+        if let Some(text) = journal {
+            fs::write(journal_path(&path), text).unwrap();
+        }
+        path
+    }
+
+    /// Journal lines appending rows `c` (3) and `d` (4) to `t`.
+    const C_AND_D: &str = "{\"table\":\"t\",\"row\":[{\"Text\":\"c\"},{\"Integer\":3},\"Null\"]}\n\
+                           {\"table\":\"t\",\"row\":[{\"Text\":\"d\"},{\"Integer\":4},\"Null\"]}\n";
+
+    fn rows(db: &Database) -> usize {
+        db.select(Select::from("t")).unwrap().len()
     }
 
     #[test]
@@ -291,29 +207,8 @@ mod tests {
     #[test]
     fn file_roundtrip() {
         let db = sample();
-        let path = tmpdir("roundtrip").join("db.json");
-        db.save(&path).unwrap();
-        let restored = Database::load(&path).unwrap();
-        assert_eq!(
-            restored.select(Select::from("t")).unwrap().len(),
-            db.select(Select::from("t")).unwrap().len()
-        );
-    }
-
-    #[test]
-    fn save_is_atomic_no_temp_residue() {
-        let db = sample();
-        let dir = tmpdir("atomic");
-        let path = dir.join("db.json");
-        // Save over an existing file; the temp file must be gone after.
-        db.save(&path).unwrap();
-        db.save(&path).unwrap();
-        let entries: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(entries, vec!["db.json"], "no .tmp residue: {entries:?}");
-        Database::load(&path).unwrap();
+        let path = json_era_file("roundtrip", &db, None);
+        assert_eq!(rows(&Database::load(&path).unwrap()), rows(&db));
     }
 
     #[test]
@@ -332,112 +227,36 @@ mod tests {
 
     #[test]
     fn journal_replays_rows_appended_after_snapshot() {
-        let db = sample();
-        let path = tmpdir("journal").join("db.json");
-        db.save(&path).unwrap();
-        let mut journal = Journal::open(&path).unwrap();
-        journal
-            .append("t", &["c".into(), 3.into(), Value::Null])
-            .unwrap();
-        journal
-            .append("t", &["d".into(), 4.into(), Value::Null])
-            .unwrap();
-        let restored = Database::load(&path).unwrap();
-        assert_eq!(restored.select(Select::from("t")).unwrap().len(), 4);
+        let path = json_era_file("journal", &sample(), Some(C_AND_D));
+        assert_eq!(rows(&Database::load(&path).unwrap()), 4);
     }
 
     #[test]
     fn journal_replay_is_idempotent_after_snapshot() {
+        // The snapshot also holds row c (a crash between the snapshot's
+        // rename and the journal's truncation): replay skips it.
         let mut db = sample();
-        let path = tmpdir("idempotent").join("db.json");
-        db.save(&path).unwrap();
-        let mut journal = Journal::open(&path).unwrap();
-        journal
-            .append("t", &["c".into(), 3.into(), Value::Null])
-            .unwrap();
-        // Snapshot now also contains row c (crash happened between rename
-        // and truncate): replay must skip the duplicate.
         db.insert(Insert::into("t", vec!["c".into(), 3.into(), Value::Null]))
             .unwrap();
-        db.save(&path).unwrap();
+        let path = json_era_file("idempotent", &db, Some(C_AND_D));
         let restored = Database::load(&path).unwrap();
-        assert_eq!(restored.select(Select::from("t")).unwrap().len(), 3);
+        assert_eq!(rows(&restored), 4);
+        let again = Database::load(&path).unwrap();
+        assert_eq!(again.logical_dump(), restored.logical_dump());
     }
 
     #[test]
     fn torn_final_journal_line_is_ignored() {
-        let db = sample();
-        let path = tmpdir("torn").join("db.json");
-        db.save(&path).unwrap();
-        let mut journal = Journal::open(&path).unwrap();
-        journal
-            .append("t", &["c".into(), 3.into(), Value::Null])
-            .unwrap();
-        // Simulate a crash mid-append: half a JSON line at the end.
-        let jp = journal_path(&path);
-        let mut text = fs::read_to_string(&jp).unwrap();
-        text.push_str("{\"table\":\"t\",\"row\":[");
-        fs::write(&jp, text).unwrap();
-        let restored = Database::load(&path).unwrap();
-        assert_eq!(restored.select(Select::from("t")).unwrap().len(), 3);
+        // A crash mid-append leaves half a JSON line at the end.
+        let journal = format!("{C_AND_D}{{\"table\":\"t\",\"row\":[");
+        let path = json_era_file("torn", &sample(), Some(&journal));
+        assert_eq!(rows(&Database::load(&path).unwrap()), 4);
     }
 
     #[test]
     fn corrupt_middle_journal_line_is_an_error() {
-        let db = sample();
-        let path = tmpdir("corrupt").join("db.json");
-        db.save(&path).unwrap();
-        let jp = journal_path(&path);
-        fs::write(&jp, "garbage\n{\"table\":\"t\",\"row\":[\"c\",3,null]}\n").unwrap();
+        let journal = format!("garbage\n{C_AND_D}");
+        let path = json_era_file("corrupt", &sample(), Some(&journal));
         assert!(matches!(Database::load(&path), Err(DbError::Io(_))));
-    }
-
-    #[test]
-    fn journal_truncate_empties_file() {
-        let path = tmpdir("truncate").join("db.json");
-        sample().save(&path).unwrap();
-        let mut journal = Journal::open(&path).unwrap();
-        journal
-            .append("t", &["c".into(), 3.into(), Value::Null])
-            .unwrap();
-        journal.truncate().unwrap();
-        assert_eq!(fs::metadata(journal.path()).unwrap().len(), 0);
-        assert_eq!(
-            Database::load(&path)
-                .unwrap()
-                .select(Select::from("t"))
-                .unwrap()
-                .len(),
-            2
-        );
-    }
-
-    #[test]
-    fn journal_bytes_scale_linearly_not_quadratically() {
-        // The streaming-persistence guarantee: appending n rows writes
-        // O(n) journal bytes total, unlike n full snapshots (O(n^2)).
-        let db = sample();
-        let path = tmpdir("linear").join("db.json");
-        db.save(&path).unwrap();
-        let mut journal = Journal::open(&path).unwrap();
-        let mut sizes = Vec::new();
-        for i in 0..50 {
-            journal
-                .append(
-                    "t",
-                    &[
-                        format!("row{i:04}").into(),
-                        (1000 + i as i64).into(),
-                        Value::Null,
-                    ],
-                )
-                .unwrap();
-            sizes.push(fs::metadata(journal.path()).unwrap().len());
-        }
-        let deltas: Vec<u64> = sizes.windows(2).map(|w| w[1] - w[0]).collect();
-        let (min, max) = (*deltas.iter().min().unwrap(), *deltas.iter().max().unwrap());
-        assert_eq!(min, max, "every append writes the same number of bytes");
-        let restored = Database::load(&path).unwrap();
-        assert_eq!(restored.select(Select::from("t")).unwrap().len(), 52);
     }
 }

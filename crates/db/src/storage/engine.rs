@@ -169,9 +169,6 @@ pub struct PagedEngine {
     /// logged as images before being written in place, pages at or
     /// above it are written in place directly.
     checkpointed_pages: u32,
-    /// A schema change (new index) the next checkpoint must write even
-    /// when no page is dirty.
-    catalog_changed: bool,
 }
 
 impl std::fmt::Debug for PagedEngine {
@@ -249,7 +246,6 @@ impl PagedEngine {
             // The header is always logged as an image: writing it in
             // place first would publish the checkpoint before its commit.
             checkpointed_pages: 1,
-            catalog_changed: false,
         }
     }
 
@@ -321,7 +317,6 @@ impl PagedEngine {
             catalog_len,
             tables: Vec::new(),
             checkpointed_pages: page_count.max(1),
-            catalog_changed: false,
         };
         engine.load_catalog()?;
         for ti in 0..engine.tables.len() {
@@ -431,33 +426,6 @@ impl PagedEngine {
         self.tables
             .push(EngineTable::new(schema.clone(), first, first));
         Ok(())
-    }
-
-    /// Declares a secondary index on `table` and indexes its rows.
-    /// Returns whether the index was added — `false` when `table`
-    /// already declares an index of that name. Like
-    /// [`PagedEngine::create_table`], durable only after the next
-    /// checkpoint.
-    ///
-    /// # Errors
-    ///
-    /// [`DbError::NoSuchTable`]; [`DbError::Parse`] for an empty or
-    /// unknown column list.
-    pub fn declare_index(
-        &mut self,
-        table: &str,
-        name: &str,
-        columns: &[&str],
-    ) -> Result<bool, DbError> {
-        let ti = self.table_idx(table)?;
-        let t = &mut self.tables[ti];
-        if t.schema.indexes().iter().any(|ix| ix.name == name) {
-            return Ok(false);
-        }
-        t.schema = t.schema.clone().with_index(name, columns)?;
-        self.catalog_changed = true;
-        self.rebuild_indexes(ti)?;
-        Ok(true)
     }
 
     /// Rejects `row` if a foreign-key value has no parent row, as
@@ -823,7 +791,6 @@ impl PagedEngine {
         self.wal.truncate()?;
         self.pool.mark_all_clean();
         self.checkpointed_pages = self.disk.page_count();
-        self.catalog_changed = false;
         Ok(())
     }
 
@@ -837,9 +804,7 @@ impl PagedEngine {
     /// pages), not O(total rows). No-op when nothing changed, and for a
     /// memory-backed engine.
     pub fn checkpoint(&mut self) -> Result<(), DbError> {
-        if self.path().is_none()
-            || (self.pool.dirty_ids().is_empty() && self.wal.size()? == 0 && !self.catalog_changed)
-        {
+        if self.path().is_none() || (self.pool.dirty_ids().is_empty() && self.wal.size()? == 0) {
             return Ok(());
         }
         let _s = tracing::span("checkpoint");
@@ -1281,31 +1246,6 @@ mod tests {
         assert_eq!(
             e.index_scan("E", "byGrp", &["g2".into()]).unwrap(),
             vec![r("a", "g2", 2), r("b", "g2", 9)]
-        );
-    }
-
-    #[test]
-    fn declared_index_reaches_the_file_at_the_next_checkpoint() {
-        let path = fresh("declare.gdb");
-        let mut e = PagedEngine::create(&path).unwrap();
-        e.create_table(&demo_schema()).unwrap();
-        for i in 0..5 {
-            e.append("T", &row(i, 4)).unwrap();
-        }
-        e.checkpoint().unwrap();
-        assert!(e.declare_index("T", "byN", &["n", "id"]).unwrap());
-        assert!(!e.declare_index("T", "byN", &["n", "id"]).unwrap());
-        assert_eq!(
-            e.index_scan("T", "byN", &[Value::Integer(3)]).unwrap(),
-            vec![row(3, 4)]
-        );
-        e.checkpoint().unwrap();
-        drop(e);
-        let mut e = PagedEngine::open(&path).unwrap();
-        assert_eq!(e.schema_of("T").unwrap().indexes().len(), 1);
-        assert_eq!(
-            e.index_scan("T", "byN", &[Value::Integer(2)]).unwrap(),
-            vec![row(2, 4)]
         );
     }
 

@@ -1,9 +1,10 @@
 //! Paged storage engine: disk manager, buffer pool, slotted-page row
 //! heaps, a binary checksummed WAL, and B-tree indexes.
 //!
-//! The JSON snapshot model (`Database::save`) rewrites the whole
-//! database on every durable save — O(total rows) per save — and the
-//! JSON-lines journal re-serialises every appended row as text. This
+//! The JSON-era format rewrote the whole database as a JSON snapshot
+//! on every durable save — O(total rows) per save — and its JSON-lines
+//! journal re-serialised every appended row as text (it survives only
+//! as a read-only legacy format, [`crate::Database::load`]). This
 //! module replaces both with a real storage engine:
 //!
 //! * [`DiskManager`] reads and writes fixed-size 4 KiB pages;
@@ -25,7 +26,6 @@
 //!
 //! See `DESIGN.md` §storage for the page format, the WAL record
 //! layout, the checkpoint protocol and the recovery invariants.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod btree;
 mod buffer;

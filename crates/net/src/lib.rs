@@ -35,6 +35,7 @@
 //! the code path it uses for local runs.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod client;
 mod frame;

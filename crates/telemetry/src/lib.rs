@@ -3,7 +3,7 @@
 //! The fault-injection engine is instrumented with the vendored `tracing`
 //! facade: every abstract building block (`inject_fault`,
 //! `wait_for_breakpoint`, `read_scan_chain`, …) and every experiment
-//! phase (checkpoint build/restore, stepping, classification, journal
+//! phase (checkpoint build/restore, stepping, classification, WAL
 //! append/fsync) opens a named span; the work-stealing runner additionally
 //! reports per-worker gauges (experiments claimed, chunk steals, busy and
 //! idle time). This crate provides the subscriber side:
@@ -24,6 +24,7 @@
 //! separate table that determinism checks exclude.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
@@ -36,7 +37,7 @@ use std::time::Instant;
 /// The constants exist so instrumentation sites and report consumers agree
 /// on spelling; the recorder itself accepts any `&'static str`. The
 /// `goofi-db` crate cannot depend on this crate (layering: telemetry sits
-/// above the database), so it emits the `journal.*` names as literals that
+/// above the database), so it emits the `wal.*` and `checkpoint` names as literals that
 /// must match the constants here.
 pub mod names {
     /// Fault-list generation + validation + optional liveness pre-pass.
@@ -71,12 +72,6 @@ pub mod names {
 
     /// Appending one experiment row to the store.
     pub const STORE_LOG_EXPERIMENT: &str = "store.log_experiment";
-    /// Serialising + writing one journal line (emitted by `goofi-db`,
-    /// legacy JSON journal path).
-    pub const JOURNAL_APPEND: &str = "journal.append";
-    /// Flushing the journal after an append (emitted by `goofi-db`,
-    /// legacy JSON journal path).
-    pub const JOURNAL_FSYNC: &str = "journal.fsync";
     /// Framing + writing one record to the paged engine's write-ahead
     /// log (emitted by `goofi-db`).
     pub const WAL_APPEND: &str = "wal.append";
@@ -579,7 +574,7 @@ mod tests {
         let r = Recorder::new(TelemetryMode::Metrics);
         r.on_span("phase.experiment", 100);
         r.on_span("phase.experiment", 300);
-        r.on_span("journal.append", 50);
+        r.on_span("wal.append", 50);
         r.on_value("checkpoint.cold_fallback", 1);
         r.on_value("checkpoint.cold_fallback", 2);
         let t = r.finish("c", 2, 1_000);
@@ -591,7 +586,7 @@ mod tests {
         assert_eq!(exp.total_nanos, 400);
         assert_eq!(exp.max_nanos, 300);
         assert_eq!(exp.mean_nanos(), 200);
-        assert_eq!(t.phase("journal.append").unwrap().count, 1);
+        assert_eq!(t.phase("wal.append").unwrap().count, 1);
         assert_eq!(
             t.counters,
             vec![CounterStat {

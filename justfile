@@ -48,7 +48,9 @@ bench-e12:
 
 # E13 paged storage engine vs seed JSON backend (asserts the ≥10x
 # sustained-append gate and index-beats-scan); refreshes BENCH_e13.json
-# at the repo root. Scale with GOOFI_E13_ROWS / GOOFI_E13_GATE.
+# at the repo root. Scale with GOOFI_E13_ROWS / GOOFI_E13_GATE. The seed
+# backend's writer lives in the bench (crates/bench/src/e13.rs):
+# goofi-db only reads that format now.
 bench-e13:
     cargo bench -p goofi-bench --bench e13_storage
 

@@ -158,3 +158,55 @@ fn engine_recovery_is_deterministic_across_worker_counts() {
     assert_eq!(dumps[0], dumps[1], "1- vs 2-worker recovery differs");
     assert_eq!(dumps[0], dumps[2], "1- vs 4-worker recovery differs");
 }
+
+/// A database written before the paged engine — a JSON snapshot plus a
+/// `.journal` sidecar whose last line is torn — loads with the records
+/// its own reader gives, is rewritten once as a paged file (the sidecar
+/// removed), and a second load leaves the file as it is.
+#[test]
+fn json_era_fixture_is_rewritten_once_with_its_records() {
+    use goofi_repro::db::storage::is_paged_file;
+    use goofi_repro::db::{journal_path, Database};
+    let fixture =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/json-era.json");
+    let path = tmp("json-era.json");
+    std::fs::copy(&fixture, &path).unwrap();
+    std::fs::copy(journal_path(&fixture), journal_path(&path)).unwrap();
+    let expected = GoofiStore::from_database(&Database::load(&fixture).unwrap()).unwrap();
+    let campaigns = expected.list_campaigns().unwrap();
+    assert_eq!(campaigns, vec!["json-era"]);
+    // The snapshot holds six experiment rows, the journal adds three.
+    assert_eq!(expected.experiments_of("json-era").unwrap().len(), 9);
+
+    let loaded = GoofiStore::load(&path).unwrap();
+    assert_eq!(
+        loaded.list_targets().unwrap(),
+        expected.list_targets().unwrap()
+    );
+    assert_eq!(loaded.list_campaigns().unwrap(), campaigns);
+    assert_eq!(
+        loaded.experiments_of("json-era").unwrap(),
+        expected.experiments_of("json-era").unwrap()
+    );
+    assert_eq!(
+        loaded.to_database().unwrap().logical_dump(),
+        expected.to_database().unwrap().logical_dump()
+    );
+    drop(loaded);
+    assert!(is_paged_file(&path));
+    assert!(!journal_path(&path).exists(), "the sidecar survived");
+
+    // A rewrite is byte-deterministic, so the modification time tells
+    // whether the second load wrote the file again.
+    let long_ago = std::time::UNIX_EPOCH + std::time::Duration::from_secs(1 << 30);
+    let file = std::fs::File::options().write(true).open(&path).unwrap();
+    file.set_modified(long_ago).unwrap();
+    drop(file);
+    let rewritten = std::fs::read(&path).unwrap();
+    drop(GoofiStore::load(&path).unwrap());
+    let modified = std::fs::metadata(&path).unwrap().modified().unwrap();
+    assert_eq!(modified, long_ago, "rewritten twice");
+    assert_eq!(std::fs::read(&path).unwrap(), rewritten);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(wal_path(&path)).ok();
+}
