@@ -952,6 +952,37 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
+    /// Reading a paged file that has no WAL beside it creates none: the
+    /// log appears at the first write.
+    #[test]
+    fn reads_leave_a_wal_less_file_wal_less() {
+        let path = std::env::temp_dir().join("goofi_store_read_no_wal.db");
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        store.log_experiment(&record("c1/001", None)).unwrap();
+        std::fs::remove_file(wal_path(&path)).ok();
+        store.save(&path).unwrap();
+        drop(store);
+        assert!(
+            !wal_path(&path).exists(),
+            "a fresh file is written WAL-less"
+        );
+        {
+            let store = GoofiStore::load(&path).unwrap();
+            assert_eq!(store.experiments_of("c1").unwrap().len(), 1);
+        }
+        assert!(!wal_path(&path).exists(), "a read created the WAL");
+        let mut store = GoofiStore::load(&path).unwrap();
+        store.log_experiment(&record("c1/002", None)).unwrap();
+        drop(store);
+        assert!(wal_path(&path).exists(), "the first write creates the WAL");
+        let store = GoofiStore::load(&path).unwrap();
+        assert_eq!(store.experiments_of("c1").unwrap().len(), 2);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(wal_path(&path)).ok();
+    }
+
     #[test]
     fn put_target_is_upsert() {
         let mut store = GoofiStore::new();

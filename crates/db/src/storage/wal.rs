@@ -134,10 +134,15 @@ impl WalRecord {
 /// write, which is the contract campaign resume is built on.
 ///
 /// A memory-backed log ([`Wal::memory`]) has no file and records
-/// nothing: its engine is never checkpointed or recovered.
+/// nothing: its engine is never checkpointed or recovered. A log that
+/// recovery found missing is created by its first write, so a reader
+/// that never writes leaves no file behind.
 pub struct Wal {
+    /// `None` for a memory-backed log.
+    path: Option<PathBuf>,
+    /// The open file; `None` while a file-backed log has not been
+    /// created yet.
     file: Option<BufWriter<File>>,
-    path: PathBuf,
     /// Where the valid records found by [`Wal::recover`] end, when a
     /// torn or corrupt tail follows them. The first write cuts the file
     /// here, so new records never land behind bytes replay stops at;
@@ -153,27 +158,26 @@ impl Wal {
     /// Opens (creating if missing) the WAL at `path`, positioned for
     /// appends at the current end.
     pub fn open(path: &Path) -> Result<Wal, DbError> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create(true)
-            .truncate(false)
-            .open(path)
-            .map_err(|e| DbError::Io(format!("open wal {}: {e}", path.display())))?;
-        file.seek(SeekFrom::End(0))
-            .map_err(|e| DbError::Io(format!("seek wal: {e}")))?;
         Ok(Wal {
-            file: Some(BufWriter::with_capacity(WAL_BUF, file)),
-            path: path.to_path_buf(),
+            file: Some(open_file(path)?),
+            path: Some(path.to_path_buf()),
             trim_at: None,
         })
     }
 
     /// Opens the WAL at `path` for recovery: every valid record (as
     /// [`Wal::read_all`]), and the log positioned to append right after
-    /// the last of them.
+    /// the last of them. A missing log stays missing until the first
+    /// write creates it.
     pub fn recover(path: &Path) -> Result<(Wal, Vec<WalRecord>), DbError> {
-        let bytes = read_file(path)?;
+        let Some(bytes) = read_file(path)? else {
+            let wal = Wal {
+                file: None,
+                path: Some(path.to_path_buf()),
+                trim_at: None,
+            };
+            return Ok((wal, Vec::new()));
+        };
         let (records, valid) = parse(&bytes);
         let mut wal = Wal::open(path)?;
         if valid < bytes.len() {
@@ -186,21 +190,26 @@ impl Wal {
     pub fn memory() -> Wal {
         Wal {
             file: None,
-            path: PathBuf::new(),
+            path: None,
             trim_at: None,
         }
     }
 
     /// Path of the WAL file; `None` when memory-backed.
     pub fn path(&self) -> Option<&Path> {
-        self.file.as_ref().map(|_| self.path.as_path())
+        self.path.as_deref()
     }
 
-    /// The file to write to, after cutting any torn tail found at
-    /// recovery; `None` when memory-backed.
+    /// The file to write to — created if recovery found none — after
+    /// cutting any torn tail found at recovery; `None` when
+    /// memory-backed.
     fn writer(&mut self) -> Result<Option<&mut BufWriter<File>>, DbError> {
-        let Some(file) = self.file.as_mut() else {
+        let Some(path) = &self.path else {
             return Ok(None);
+        };
+        let file = match &mut self.file {
+            Some(file) => file,
+            none => none.insert(open_file(path)?),
         };
         if let Some(len) = self.trim_at.take() {
             let f = file.get_mut();
@@ -226,7 +235,7 @@ impl Wal {
 
     /// Appends one record (framed, checksummed) to the write buffer.
     pub fn append(&mut self, record: &WalRecord) -> Result<(), DbError> {
-        if self.file.is_none() {
+        if self.path.is_none() {
             return Ok(());
         }
         self.write_payload(&record.encode())
@@ -236,7 +245,7 @@ impl Wal {
     /// [`Wal::append`] of a [`WalRecord::Insert`] without taking
     /// ownership of the bytes.
     pub fn append_insert(&mut self, table: &str, row: &[u8]) -> Result<(), DbError> {
-        if self.file.is_none() {
+        if self.path.is_none() {
             return Ok(());
         }
         self.write_payload(&table_payload(TYPE_INSERT, table, row))
@@ -255,7 +264,7 @@ impl Wal {
     }
 
     /// Empties the WAL — called once a checkpoint has made the data
-    /// file current.
+    /// file current. A log not yet created is empty already.
     pub fn truncate(&mut self) -> Result<(), DbError> {
         self.flush()?;
         let Some(file) = self.file.as_mut() else {
@@ -270,7 +279,8 @@ impl Wal {
         Ok(())
     }
 
-    /// Current size of the WAL in bytes, counting buffered appends.
+    /// Current size of the WAL in bytes, counting buffered appends; 0
+    /// for a log not yet created.
     pub fn size(&self) -> Result<u64, DbError> {
         let Some(file) = self.file.as_ref() else {
             return Ok(0);
@@ -284,22 +294,37 @@ impl Wal {
     /// Reads every valid record from the WAL at `path`, stopping at the
     /// first torn or corrupt one. A missing file reads as empty.
     pub fn read_all(path: &Path) -> Result<Vec<WalRecord>, DbError> {
-        Ok(parse(&read_file(path)?).0)
+        Ok(parse(&read_file(path)?.unwrap_or_default()).0)
     }
 }
 
-/// The bytes of the file at `path`; empty when it does not exist.
-fn read_file(path: &Path) -> Result<Vec<u8>, DbError> {
+/// Opens (creating if missing) the log file at `path` for appends at its
+/// current end.
+fn open_file(path: &Path) -> Result<BufWriter<File>, DbError> {
+    let mut file = OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create(true)
+        .truncate(false)
+        .open(path)
+        .map_err(|e| DbError::Io(format!("open wal {}: {e}", path.display())))?;
+    file.seek(SeekFrom::End(0))
+        .map_err(|e| DbError::Io(format!("seek wal: {e}")))?;
+    Ok(BufWriter::with_capacity(WAL_BUF, file))
+}
+
+/// The bytes of the file at `path`; `None` when it does not exist.
+fn read_file(path: &Path) -> Result<Option<Vec<u8>>, DbError> {
     let mut bytes = Vec::new();
     match File::open(path) {
         Ok(mut f) => {
             f.read_to_end(&mut bytes)
                 .map_err(|e| DbError::Io(format!("read wal: {e}")))?;
+            Ok(Some(bytes))
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-        Err(e) => return Err(DbError::Io(format!("open wal {}: {e}", path.display()))),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(DbError::Io(format!("open wal {}: {e}", path.display()))),
     }
-    Ok(bytes)
 }
 
 /// The valid records at the start of `bytes`, and where they end.

@@ -49,6 +49,18 @@ pub struct Step {
     pub event: Option<CoreEvent>,
 }
 
+/// What [`Machine::execute`] did, for [`Machine::step`] to turn into a
+/// trace record; [`Machine::step_lean`] keeps only the event.
+struct Executed {
+    pc: u32,
+    word: u32,
+    instr: Instr,
+    cycles: u64,
+    branch_taken: bool,
+    mem_addr: Option<u32>,
+    event: Option<CoreEvent>,
+}
+
 /// The complete register-level core state: everything in [`Machine`]
 /// except memory and caches. One value of this struct is what
 /// [`Machine::reset`] zeroes and what a checkpoint restore writes back, so
@@ -335,6 +347,7 @@ impl Machine {
         self.psw = psw;
     }
 
+    #[inline(always)]
     fn cond_holds(&self, cond: Cond) -> bool {
         let z = self.psw & PSW_Z != 0;
         let n = self.psw & PSW_N != 0;
@@ -357,28 +370,48 @@ impl Machine {
     /// machine state is left as of the failing micro-operation (the PC still
     /// points at the faulting instruction), mirroring a hardware trap.
     pub fn step(&mut self) -> Result<Step, Exception> {
-        self.step_impl::<true>()
-    }
-
-    /// [`Machine::step`] minus the per-instruction read/write-set
-    /// bookkeeping: the returned [`StepInfo`] carries pc/word/cycles and
-    /// the branch-taken flag but empty `reads`/`writes` and cleared
-    /// def/use flags. Every architectural effect — registers, PSW, ir,
-    /// mar, mdr, wdt, cycles, instret, memory, caches — is identical to
-    /// [`Machine::step`]; only trace metadata is skipped, so this is the
-    /// inner-loop primitive for untraced execution.
-    pub fn step_fast(&mut self) -> Result<Step, Exception> {
-        self.step_impl::<false>()
-    }
-
-    #[inline(always)]
-    fn step_impl<const COLLECT: bool>(&mut self) -> Result<Step, Exception> {
         if self.halted {
             return Ok(Step {
                 info: StepInfo::new(self.pc, 0),
                 event: Some(CoreEvent::Halted),
             });
         }
+        let done = self.execute()?;
+        let mut info = StepInfo::new(done.pc, done.word);
+        info.cycles = done.cycles;
+        info.branch_taken = done.branch_taken;
+        Self::record_effect(&mut info, &done.instr.effect(), done.mem_addr);
+        Ok(Step {
+            info,
+            event: done.event,
+        })
+    }
+
+    /// [`Machine::step`] without the trace record: only the event. Every
+    /// architectural effect — registers, PSW, ir, mar, mdr, wdt, cycles,
+    /// instret, memory, caches and their counters — is identical, so this
+    /// is the inner-loop primitive for untraced execution.
+    #[inline]
+    pub(crate) fn step_lean(&mut self) -> Result<Option<CoreEvent>, Exception> {
+        if self.halted {
+            return Ok(Some(CoreEvent::Halted));
+        }
+        self.execute().map(|done| done.event)
+    }
+
+    /// An upper bound on the cycles one instruction can take: the base
+    /// cycle, an I-cache miss, and the larger of a D-cache miss (`ld`) and
+    /// `div`'s 11 extra cycles (`mul` adds 3, `st` nothing). A run that
+    /// has at least `n` times this left of its budget can execute `n`
+    /// instructions without checking it.
+    pub(crate) fn max_step_cycles(&self) -> u64 {
+        1 + self.icache.config().miss_penalty + self.dcache.config().miss_penalty.max(11)
+    }
+
+    /// The work of one step on a machine that has not halted; the caller
+    /// builds whatever record it needs from the returned facts.
+    #[inline(always)]
+    fn execute(&mut self) -> Result<Executed, Exception> {
         // Watchdog.
         if self.config.watchdog_limit > 0 {
             self.wdt = self.wdt.wrapping_add(1) & 0xffff;
@@ -398,14 +431,15 @@ impl Machine {
             })?;
         let word = access.value;
         self.ir = word;
-        let mut info = StepInfo::new(pc, word);
-        info.cycles += access.extra_cycles;
+        let mut cycles = 1 + access.extra_cycles;
 
         // Dispatch through the predecode cache when the slot still matches
         // the word the fetch path just produced; (re)fill it otherwise.
-        // `pc < code_end` here (the fetch above enforces it), so the index
-        // is always in range once the cache is sized; a deserialised
-        // machine starts with an empty cache and sizes it on first miss.
+        // An aligned fetch succeeds only below `code_end`, but a misaligned
+        // one reads the word it falls in from anywhere (the I-cache fills
+        // an unmappable line with zeros), so a pc past the code region is
+        // decoded without a slot. A deserialised machine starts with an
+        // empty cache and sizes it on first miss.
         let index = (pc >> 2) as usize;
         let instr = if self.predecode_off {
             Instr::decode(word).ok_or(Exception::IllegalInstruction { word })?
@@ -415,11 +449,13 @@ impl Machine {
                 _ => {
                     let instr =
                         Instr::decode(word).ok_or(Exception::IllegalInstruction { word })?;
-                    if self.predecode.len() <= index {
-                        self.predecode
-                            .resize((self.config.memory.code_end / 4) as usize, None);
+                    let slots = (self.config.memory.code_end / 4) as usize;
+                    if index < slots {
+                        if self.predecode.len() < slots {
+                            self.predecode.resize(slots, None);
+                        }
+                        self.predecode[index] = Some(PredecodedSlot { raw: word, instr });
                     }
-                    self.predecode[index] = Some(PredecodedSlot { raw: word, instr });
                     instr
                 }
             }
@@ -427,6 +463,7 @@ impl Machine {
 
         let mut next_pc = pc.wrapping_add(4);
         let mut event = None;
+        let mut branch_taken = false;
         // Effective data-memory address, captured by `ld`/`st` for the
         // trace record (the shared `InstrEffect` table only knows that a
         // memory operand exists, not where it lands).
@@ -483,7 +520,7 @@ impl Machine {
                 true
             ),
             Instr::Mul { rd, rs1, rs2 } => {
-                info.cycles += 3;
+                cycles += 3;
                 alu!(
                     rd,
                     rs1,
@@ -498,7 +535,7 @@ impl Machine {
                 )
             }
             Instr::Div { rd, rs1, rs2 } => {
-                info.cycles += 11;
+                cycles += 11;
                 alu!(
                     rd,
                     rs1,
@@ -589,7 +626,7 @@ impl Machine {
                 self.mar = addr;
                 let access = self.dcache.read(&self.memory, addr, false)?;
                 self.mdr = access.value;
-                info.cycles += access.extra_cycles;
+                cycles += access.extra_cycles;
                 mem_addr = Some(addr);
                 self.regs[rd as usize] = self.mdr;
             }
@@ -618,7 +655,7 @@ impl Machine {
             }
             Instr::Branch { cond, imm } => {
                 if self.cond_holds(cond) {
-                    info.branch_taken = true;
+                    branch_taken = true;
                     next_pc = pc
                         .wrapping_add(4)
                         .wrapping_add((imm as i32 as u32).wrapping_mul(4));
@@ -636,16 +673,20 @@ impl Machine {
             }
         }
 
-        if COLLECT {
-            Self::record_effect(&mut info, &instr.effect(), mem_addr);
-        }
-
         if event != Some(CoreEvent::Halted) {
             self.pc = next_pc;
         }
-        self.cycles += info.cycles;
+        self.cycles += cycles;
         self.instret += 1;
-        Ok(Step { info, event })
+        Ok(Executed {
+            pc,
+            word,
+            instr,
+            cycles,
+            branch_taken,
+            mem_addr,
+            event,
+        })
     }
 
     /// Fills a step's trace record from the instruction's shared
@@ -1052,8 +1093,20 @@ mod tests {
         assert_eq!(m.memory().host_read(0x4000), Some(7));
     }
 
+    /// One [`Machine::step_lean`], with the trace-record fields it does
+    /// not return rebuilt from the state it leaves behind.
+    fn step_lean_as_step(m: &mut Machine) -> Step {
+        let (pc, cycles) = (m.pc(), m.cycles());
+        let event = m.step_lean().unwrap();
+        let mut info = StepInfo::new(pc, m.ir());
+        info.cycles = m.cycles() - cycles;
+        info.branch_taken =
+            matches!(Instr::decode(m.ir()), Some(I::Branch { .. })) && m.pc() != pc.wrapping_add(4);
+        Step { info, event }
+    }
+
     #[test]
-    fn step_fast_matches_step_architecturally() {
+    fn step_lean_matches_step_architecturally() {
         let code = [
             I::Li { rd: 1, imm: 5 },
             I::Li { rd: 3, imm: 0 },
@@ -1093,7 +1146,7 @@ mod tests {
         let mut b = machine_with(&code);
         loop {
             let sa = a.step().unwrap();
-            let sb = b.step_fast().unwrap();
+            let sb = step_lean_as_step(&mut b);
             assert_eq!(sa.event, sb.event);
             assert_eq!(sa.info.pc, sb.info.pc);
             assert_eq!(sa.info.word, sb.info.word);
@@ -1143,6 +1196,19 @@ mod tests {
             }
         }
         assert_eq!(a.memory().words(), b.memory().words());
+    }
+
+    #[test]
+    fn misaligned_pc_past_code_steps_without_a_predecode_slot() {
+        // A misaligned fetch reads the word it falls in, even from an
+        // unmappable line (as zeros, a `nop`), so the pc can leave the
+        // code region without a trap; the predecode cache has no slot
+        // there and must not be indexed.
+        let mut m = machine_with(&[I::Jr { rs1: 1 }]);
+        m.set_reg(1, 0x3_0001);
+        m.step().unwrap();
+        assert_eq!(m.step().unwrap().info.word, 0);
+        assert_eq!(m.pc(), 0x3_0005);
     }
 
     #[test]

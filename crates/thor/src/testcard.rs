@@ -424,19 +424,24 @@ impl TestCard {
         }
         let deadline = self.machine.cycles().saturating_add(cycle_budget);
         // Fast path: with tracing off and no address breakpoints armed,
-        // the only host-side work per instruction is two integer
-        // compares. The next instruction-count breakpoint is hoisted out
-        // of the loop (nothing inside inserts breakpoints, and `instret`
+        // the only stopping points are the next instruction-count
+        // breakpoint and the deadline. The breakpoint is hoisted out of
+        // the loop (nothing inside inserts breakpoints, and `instret`
         // only counts up, so breakpoints already behind the machine can
-        // never fire — exactly the general loop's semantics), and
-        // `step_fast` skips the per-step read/write-set bookkeeping that
-        // only traces consume.
+        // never fire — exactly the general loop's semantics). Both are
+        // checked once per stretch, as the general loop checks them, and
+        // the stretch is only as long as neither can come due inside it:
+        // it ends before the breakpoint, and with every instruction
+        // costing at most `max_step` cycles, it leaves the deadline
+        // unreached. Under one `max_step` of budget left, stretches are
+        // single instructions.
         if !self.tracing && self.addr_breakpoints.is_empty() && self.machine.predecode_enabled() {
             let next_bp = self
                 .instret_breakpoints
                 .range(self.machine.instret()..)
                 .next()
                 .copied();
+            let max_step = self.machine.max_step_cycles();
             loop {
                 let instret = self.machine.instret();
                 if Some(instret) == next_bp {
@@ -446,22 +451,26 @@ impl TestCard {
                         instret,
                     };
                 }
-                if self.machine.cycles() >= deadline {
+                let cycles = self.machine.cycles();
+                if cycles >= deadline {
                     return DebugEvent::TimedOut;
                 }
-                match self.machine.step_fast() {
-                    Ok(step) => match step.event {
-                        Some(CoreEvent::Halted) => {
+                let stretch = ((deadline - cycles) / max_step)
+                    .max(1)
+                    .min(next_bp.map_or(u64::MAX, |bp| bp - instret));
+                for _ in 0..stretch {
+                    match self.machine.step_lean() {
+                        Ok(None) => {}
+                        Ok(Some(CoreEvent::Halted)) => {
                             self.latched = Some(DebugEvent::Halted);
                             return DebugEvent::Halted;
                         }
-                        Some(CoreEvent::Sync) => return DebugEvent::IterationSync,
-                        None => {}
-                    },
-                    Err(e) => {
-                        let ev = DebugEvent::ErrorDetected(e);
-                        self.latched = Some(ev.clone());
-                        return ev;
+                        Ok(Some(CoreEvent::Sync)) => return DebugEvent::IterationSync,
+                        Err(e) => {
+                            let ev = DebugEvent::ErrorDetected(e);
+                            self.latched = Some(ev.clone());
+                            return ev;
+                        }
                     }
                 }
             }

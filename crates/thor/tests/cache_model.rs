@@ -11,9 +11,17 @@
 //! and out-of-range addresses, stores with write-through, raw scan writes
 //! of valid, tag, parity and data bits (including double flips that leave
 //! parity consistent), invalidation, and snapshot/restore by `clone_from`.
+//!
+//! A second property holds the test card's run loop, which checks its
+//! breakpoint and cycle budget once per stretch of instructions, to a
+//! loop that checks both before every single `step`.
 
 use proptest::prelude::*;
-use thor_rd::{Access, Cache, CacheConfig, Exception, Memory, MemoryMap};
+use std::collections::BTreeSet;
+use thor_rd::{
+    Access, Cache, CacheConfig, Cond, DebugEvent, Exception, Instr, MachineConfig, Memory,
+    MemoryMap, TestCard,
+};
 
 type ReadResult = Result<Access, Exception>;
 
@@ -435,4 +443,236 @@ fn faulting_fill_leaves_line_untouched() {
     assert_eq!(cache.read(&mem, 4100, false).unwrap().value, 4101);
     assert_eq!(cache.line(0).data(), &[4097, 4101, 0, 0]);
     assert_eq!(cache.misses(), 3);
+}
+
+/// A register random programs never write, holding 0: `ld`/`st` based on
+/// it reach the data region they name.
+const ZERO: u8 = 0;
+/// A register random programs never write, holding a nonzero divisor.
+const DIVISOR: u8 = 14;
+
+/// Instructions of a random loop body: ALU, `mul`/`div`, `ld`/`st`,
+/// compares, branches and jumps inside the program, `jr`, `halt` and
+/// `sync`. The `div` that cannot trap and the `ld` that stays in the
+/// data region are listed twice, so loops last longer.
+fn arb_program_instr() -> impl Strategy<Value = Instr> {
+    let rd = || 1u8..DIVISOR;
+    let rs = || 0u8..16;
+    let data = (MAP.code_end / 4..MAP.size / 4).prop_map(|w| (w * 4) as i16);
+    let cond = prop_oneof![
+        Just(Cond::Eq),
+        Just(Cond::Ne),
+        Just(Cond::Lt),
+        Just(Cond::Ge),
+        Just(Cond::Gt),
+        Just(Cond::Le),
+    ];
+    let (len, span) = (PROGRAM_LEN as u16, PROGRAM_LEN as i16);
+    prop_oneof![
+        Just(Instr::Nop),
+        Just(Instr::Halt),
+        Just(Instr::Sync),
+        (rd(), rs(), rs()).prop_map(|(rd, rs1, rs2)| Instr::Add { rd, rs1, rs2 }),
+        (rd(), rs(), rs()).prop_map(|(rd, rs1, rs2)| Instr::Sub { rd, rs1, rs2 }),
+        (rd(), rs(), rs()).prop_map(|(rd, rs1, rs2)| Instr::Mul { rd, rs1, rs2 }),
+        (rd(), rs(), rs()).prop_map(|(rd, rs1, rs2)| Instr::Div { rd, rs1, rs2 }),
+        (rd(), rs()).prop_map(|(rd, rs1)| Instr::Div {
+            rd,
+            rs1,
+            rs2: DIVISOR
+        }),
+        (rd(), rs()).prop_map(|(rd, rs1)| Instr::Div {
+            rd,
+            rs1,
+            rs2: DIVISOR
+        }),
+        (rd(), rs(), rs()).prop_map(|(rd, rs1, rs2)| Instr::Xor { rd, rs1, rs2 }),
+        (rd(), rs(), -8i16..8).prop_map(|(rd, rs1, imm)| Instr::Addi { rd, rs1, imm }),
+        (rd(), -64i16..64).prop_map(|(rd, imm)| Instr::Li { rd, imm }),
+        (rd(), data.clone()).prop_map(|(rd, imm)| Instr::Ld { rd, rs1: ZERO, imm }),
+        (rd(), data.clone()).prop_map(|(rd, imm)| Instr::Ld { rd, rs1: ZERO, imm }),
+        (rs(), data).prop_map(|(rd, imm)| Instr::St { rd, rs1: ZERO, imm }),
+        (rd(), rs(), -64i16..64).prop_map(|(rd, rs1, imm)| Instr::Ld { rd, rs1, imm }),
+        (rs(), rs(), -64i16..64).prop_map(|(rd, rs1, imm)| Instr::St { rd, rs1, imm }),
+        (rs(), rs()).prop_map(|(rs1, rs2)| Instr::Cmp { rs1, rs2 }),
+        (rs(), -8i16..8).prop_map(|(rs1, imm)| Instr::Cmpi { rs1, imm }),
+        (cond, -span..span).prop_map(|(cond, imm)| Instr::Branch { cond, imm }),
+        (0..len).prop_map(|imm| Instr::Jmp { imm }),
+        rs().prop_map(|rs1| Instr::Jr { rs1 }),
+    ]
+}
+
+/// Longest random program; its branches and jumps target its own words.
+const PROGRAM_LEN: usize = 48;
+
+/// A run of one of the dearest instructions, `div` or `ld` from the data
+/// region. On caches of one-word lines every one of them costs the
+/// per-instruction bound `run` assumes (or the bound less the D-cache's
+/// or `div`'s excess over the other), so a long run of them is where a
+/// stretch too long by one instruction would show.
+fn arb_dear_run() -> impl Strategy<Value = Vec<Instr>> {
+    let data = (MAP.code_end / 4..MAP.size / 4).prop_map(|w| (w * 4) as i16);
+    let div = (1u8..DIVISOR, 0u8..16).prop_map(|(rd, rs1)| Instr::Div {
+        rd,
+        rs1,
+        rs2: DIVISOR,
+    });
+    let ld = (1u8..DIVISOR, data).prop_map(|(rd, imm)| Instr::Ld { rd, rs1: ZERO, imm });
+    prop_oneof![
+        proptest::collection::vec(div, 1..PROGRAM_LEN),
+        proptest::collection::vec(ld, 1..PROGRAM_LEN),
+    ]
+}
+
+/// A random program. Three in four end by jumping back to their start,
+/// so they run until a trap, `halt`, the watchdog or the budget ends
+/// them.
+fn arb_program() -> impl Strategy<Value = Vec<Instr>> {
+    let body = prop_oneof![
+        proptest::collection::vec(arb_program_instr(), 1..PROGRAM_LEN),
+        arb_dear_run(),
+    ];
+    (body, 0u8..4).prop_map(|(mut program, kind)| {
+        if kind > 0 {
+            program.push(Instr::Jmp { imm: 0 });
+        }
+        program
+    })
+}
+
+/// `TestCard::run` as a loop of single steps, each preceded by the
+/// breakpoint and deadline checks.
+struct SteppedCard {
+    card: TestCard,
+    /// The armed instruction-count breakpoints, fired (and removed) as
+    /// `run` fires them.
+    breakpoints: BTreeSet<u64>,
+    /// The halt or detected error that ended the run, reported again by
+    /// every later call, as `run` does.
+    latched: Option<DebugEvent>,
+}
+
+impl SteppedCard {
+    fn run(&mut self, budget: u64) -> DebugEvent {
+        if let Some(event) = &self.latched {
+            return event.clone();
+        }
+        let deadline = self.card.machine().cycles().saturating_add(budget);
+        loop {
+            let instret = self.card.machine().instret();
+            if self.breakpoints.remove(&instret) {
+                return DebugEvent::Breakpoint {
+                    pc: self.card.machine().pc(),
+                    instret,
+                };
+            }
+            if self.card.machine().cycles() >= deadline {
+                return DebugEvent::TimedOut;
+            }
+            match self.card.step() {
+                Ok((_, true)) => return DebugEvent::IterationSync,
+                Ok((_, false)) => {}
+                Err(event) => {
+                    self.latched = Some(event.clone());
+                    return event;
+                }
+            }
+        }
+    }
+}
+
+fn same_card(a: &TestCard, b: &TestCard) -> Result<(), TestCaseError> {
+    let (a, b) = (a.machine(), b.machine());
+    prop_assert_eq!(a.core_state(), b.core_state());
+    prop_assert!(a.memory().words() == b.memory().words(), "memory differs");
+    prop_assert_eq!(a.icache(), b.icache());
+    prop_assert_eq!(a.dcache(), b.dcache());
+    Ok(())
+}
+
+/// Runs the same program on a card through `run` and on a clone through
+/// a [`SteppedCard`], with one budget per call, and checks that they agree
+/// after every call.
+fn check_run_matches_steps(
+    config: MachineConfig,
+    program: &[Instr],
+    regs: &[i32],
+    breakpoints: &BTreeSet<u64>,
+    budgets: &[(u64, u64)],
+) -> Result<(), TestCaseError> {
+    // The bound `run` uses for one instruction's cycles.
+    let max_step = 1 + config.icache.miss_penalty + config.dcache.miss_penalty.max(11);
+    let mut card = TestCard::new(config);
+    for (i, instr) in program.iter().enumerate() {
+        card.write_memory(i as u32 * 4, instr.encode()).unwrap();
+    }
+    for a in (MAP.code_end..MAP.size).step_by(4) {
+        card.write_memory(a, a.wrapping_mul(0x9e37_79b9) % 97)
+            .unwrap();
+    }
+    for (r, &v) in (1..).zip(regs) {
+        let v = if r == DIVISOR { v | 1 } else { v };
+        card.machine_mut().set_reg(r, v as u32);
+    }
+    for &bp in breakpoints {
+        card.set_breakpoint_instret(bp);
+    }
+    let mut by_steps = SteppedCard {
+        card: card.clone(),
+        breakpoints: breakpoints.clone(),
+        latched: None,
+    };
+    for (call, &(stretches, rest)) in budgets.iter().enumerate() {
+        // Whole worst-case instructions plus a remainder of up to two
+        // more, so the budget often runs out inside the last stretch.
+        let budget = stretches * max_step + rest % (2 * max_step);
+        let got = card.run(budget);
+        let want = by_steps.run(budget);
+        prop_assert_eq!(
+            &got,
+            &want,
+            "run call {} with budget {}: run gave {:?}, single steps {:?}",
+            call,
+            budget,
+            got,
+            want
+        );
+        same_card(&card, &by_steps.card)?;
+    }
+    Ok(())
+}
+
+proptest! {
+    /// `run`, checking the breakpoint and the budget once per stretch,
+    /// gives the same state, memory, caches with their counters and
+    /// event sequence as stepping singly with both checks before every
+    /// instruction — for random programs, cache penalties, watchdog
+    /// limits, breakpoints and budgets, including budgets that end within
+    /// one worst-case instruction of a stretch boundary.
+    #[test]
+    fn stretched_run_matches_single_steps(
+        program in arb_program(),
+        regs in proptest::collection::vec(-40i32..40, 15),
+        icache in (0u32..3, 0u32..3, 0u64..20),
+        dcache in (0u32..3, 0u32..3, 0u64..20),
+        watchdog in 1u32..300,
+        breakpoints in proptest::collection::hash_set(0u64..600, 0..5),
+        budgets in proptest::collection::vec((0u64..80, 0u64..64), 1..12),
+    ) {
+        let cache = |(lines_log, words_log, miss_penalty): (u32, u32, u64)| CacheConfig {
+            lines: 1 << lines_log,
+            words_per_line: 1 << words_log,
+            miss_penalty,
+        };
+        let breakpoints: BTreeSet<u64> = breakpoints.into_iter().collect();
+        for watchdog_limit in [0, watchdog] {
+            let config = MachineConfig {
+                memory: MAP,
+                icache: cache(icache),
+                dcache: cache(dcache),
+                watchdog_limit,
+            };
+            check_run_matches_steps(config, &program, &regs, &breakpoints, &budgets)?;
+        }
+    }
 }

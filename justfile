@@ -46,6 +46,12 @@ bench-e11:
 bench-e12:
     cargo bench -p goofi-bench --bench e12_class_execution
 
+# The walk row: one runaway sort16 experiment (R9 bit 20 flipped at
+# instret 100) timed per instruction, best of 300; asserts its
+# 110 504 instructions and final memory violation.
+bench-walk:
+    cargo bench -p goofi-bench --bench thor_walk
+
 # E13 paged storage engine vs seed JSON backend (asserts the ≥10x
 # sustained-append gate and index-beats-scan); refreshes BENCH_e13.json
 # at the repo root. Scale with GOOFI_E13_ROWS / GOOFI_E13_GATE. The seed
