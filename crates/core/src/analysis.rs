@@ -205,11 +205,16 @@ impl CampaignStats {
     /// run counts as pruned and overwritten without classification.
     pub fn add_run(&mut self, reference: &ExperimentRun, run: &ExperimentRun) {
         if run.pruned {
-            self.pruned += 1;
-            self.overwritten += 1;
+            self.add_pruned();
         } else {
             self.add(classify(reference, run));
         }
+    }
+
+    /// Adds one pruned experiment: pruned and overwritten.
+    pub fn add_pruned(&mut self) {
+        self.pruned += 1;
+        self.overwritten += 1;
     }
 
     /// Adds one classified outcome.

@@ -35,7 +35,11 @@
 //! against it (`ON_REFERENCE`), and otherwise empty: no flags are set
 //! and the vector is stored as one literal run. [`encode`] and
 //! [`decode`] are the row as bytes, in the storage engine's row codec.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+//!
+//! A pruned or predicted row repeats the reference's outcome, so it is
+//! written straight from the fault and the reference record without a
+//! logical row ([`encode_decided`]): the flags say everything but the
+//! iterations and the fault is the base's, and the vector is its length.
 
 use crate::error::{GoofiError, Result};
 use crate::fault::{FaultModel, Location, PlannedFault};
@@ -67,6 +71,19 @@ pub fn encode(record: &ExperimentRecord, base: Option<&ExperimentRecord>) -> Vec
     encode_row(&compact_row(record, base))
 }
 
+/// The physical row of a pruned or predicted experiment as bytes:
+/// experiment `name` of `campaign`, injecting `fault`, with the outcome of
+/// `reference`, the campaign's reference record. The same bytes as
+/// [`encode`] of the record such a row stands for, against `reference`.
+pub fn encode_decided(
+    name: &str,
+    campaign: &str,
+    fault: &PlannedFault,
+    reference: &ExperimentRecord,
+) -> Vec<u8> {
+    encode_row(&decided_row(name.to_owned(), campaign, fault, reference))
+}
+
 /// The record in bytes produced by [`encode`]. `base` must be the
 /// reference record the row was encoded against; it is ignored for a
 /// row encoded against the empty base.
@@ -92,6 +109,30 @@ pub(crate) fn compact_row(record: &ExperimentRecord, base: Option<&ExperimentRec
             &record.state_vector,
             base.map_or(empty, |b| &b.state_vector),
         )),
+    ]
+}
+
+/// The physical row of a decided experiment, built straight from its
+/// fault and `reference` without the logical row: every field but the
+/// fault is the reference's, so `experimentData` is the flags, the
+/// iterations and the fault, and `stateVector` is only the length.
+pub(crate) fn decided_row(
+    name: String,
+    campaign: &str,
+    fault: &PlannedFault,
+    reference: &ExperimentRecord,
+) -> Row {
+    let mut data = vec![ON_REFERENCE | SAME_AS_BASE | HAS_FAULT];
+    put_varint(&mut data, u64::from(reference.data.iterations));
+    encode_fault(fault, &mut data);
+    let mut vector = Vec::new();
+    put_varint(&mut vector, reference.state_vector.len() as u64);
+    vec![
+        name.into(),
+        Value::Null,
+        campaign.into(),
+        Value::Blob(data),
+        Value::Blob(vector),
     ]
 }
 

@@ -32,20 +32,21 @@
 //! gauges, and persists the campaign rollup to the `CampaignTelemetry`
 //! table. Telemetry never perturbs results: logged experiment rows are
 //! byte-identical with telemetry on or off at any worker count.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::algorithm::{reference_run, run_experiment, ExperimentRun};
-use crate::analysis::CampaignStats;
+use crate::analysis::{classify, CampaignStats, Outcome};
 use crate::campaign::{Campaign, LogMode, Technique};
 use crate::checkpoint::{run_experiment_checkpointed, CheckpointPlan};
 use crate::error::{GoofiError, Result};
 use crate::fault::{generate_fault_list, PlannedFault, TriggerPolicy};
 use crate::preinject::LivenessAnalysis;
 use crate::progress::{Command, Controller, ProgressEvent};
+use crate::rowcodec;
 use crate::service::{ClassSavings, JobSummary};
 use crate::staticanalysis::{ClassKind, Pruning, StaticAnalysis};
-use crate::store::{reference_experiment_name, ExperimentData, ExperimentRecord, GoofiStore};
+use crate::store::{reference_experiment_name, ExperimentRecord, GoofiStore};
 use crate::target::{TargetSystemConfig, TargetSystemInterface};
+use goofi_db::Row;
 use goofi_telemetry::{names, CampaignTelemetry, Recorder, TelemetryMode, WorkerTelemetry};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -537,26 +538,6 @@ pub fn logged_experiment_name(campaign: &str, index: usize) -> String {
     format!("{campaign}/{index:05}")
 }
 
-fn record_of(campaign: &Campaign, name: String, run: &ExperimentRun) -> ExperimentRecord {
-    ExperimentRecord {
-        name,
-        parent: None,
-        campaign: campaign.name.clone(),
-        data: ExperimentData {
-            fault: run.fault.clone(),
-            termination: run.termination.clone(),
-            outputs: run.outputs.clone(),
-            iterations: run.iterations,
-            instructions: run.instructions,
-            detail_trace: run
-                .detail_trace
-                .as_ref()
-                .map(|t| t.iter().map(|s| s.as_bytes().to_vec()).collect()),
-        },
-        state_vector: run.state.as_bytes().to_vec(),
-    }
-}
-
 /// A synthesised row: `fault` with the observed outcome of `from`, built
 /// field by field so `from`'s detail trace — potentially thousands of
 /// state vectors — is never copied (the row it copies already holds it
@@ -633,6 +614,35 @@ pub enum Decision {
     Proxied(usize),
     /// The experiment executes on a target.
     Execute,
+}
+
+impl Decision {
+    /// The run a pruned or predicted experiment injecting `fault` stands
+    /// for, synthesised from the campaign's `reference` run; `None` for
+    /// any other decision. Both copy the reference outcome: a pruned
+    /// fault is provably overwritten before any read (no activation
+    /// counts), and a predicted one provably washes out of the
+    /// architectural state without touching control, addresses or
+    /// trap-prone operands, after all its activations fired inside the
+    /// covered execution ([`StaticAnalysis::can_predict`]).
+    pub fn synthesise(
+        self,
+        reference: &ExperimentRun,
+        fault: &PlannedFault,
+    ) -> Option<ExperimentRun> {
+        Some(match self {
+            Decision::Pruned => ExperimentRun {
+                pruned: true,
+                ..outcome_of(reference, fault)
+            },
+            Decision::Predicted => ExperimentRun {
+                activations_done: fault.times.len(),
+                predicted: true,
+                ..outcome_of(reference, fault)
+            },
+            _ => return None,
+        })
+    }
 }
 
 /// Whether a campaign lies inside the envelope of the identical-outcome
@@ -847,7 +857,7 @@ impl CampaignPlan {
                 self.faults.len()
             ))
         })?;
-        if let Some(run) = self.synthesise(index) {
+        if let Some(run) = self.decide(index, true) {
             return Ok(run);
         }
         let _s = tracing::span(names::PHASE_EXPERIMENT);
@@ -859,35 +869,20 @@ impl CampaignPlan {
         }
     }
 
-    /// The synthesised row of a pruned or predicted experiment; `None`
-    /// for any other decision. Both copy the reference outcome: a pruned
-    /// fault is provably overwritten before any read (no activation
-    /// counts), and a predicted one provably washes out of the
-    /// architectural state without touching control, addresses or
-    /// trap-prone operands, after all its activations fired inside the
-    /// covered execution ([`StaticAnalysis::can_predict`]).
-    fn synthesise(&self, index: usize) -> Option<ExperimentRun> {
-        let fault = &self.faults[index];
-        let (counter, run) = match self.decisions[index] {
-            Decision::Pruned => (
-                names::COUNTER_PRUNED,
-                ExperimentRun {
-                    pruned: true,
-                    ..outcome_of(&self.reference, fault)
-                },
-            ),
-            Decision::Predicted => (
-                names::COUNTER_PREDICTED,
-                ExperimentRun {
-                    activations_done: fault.times.len(),
-                    predicted: true,
-                    ..outcome_of(&self.reference, fault)
-                },
-            ),
+    /// Counts a pruned or predicted experiment in telemetry and, with
+    /// `materialise`, returns its synthesised run
+    /// ([`Decision::synthesise`]); `None` for any other decision.
+    fn decide(&self, index: usize, materialise: bool) -> Option<ExperimentRun> {
+        let decision = self.decisions[index];
+        let counter = match decision {
+            Decision::Pruned => names::COUNTER_PRUNED,
+            Decision::Predicted => names::COUNTER_PREDICTED,
             _ => return None,
         };
         tracing::value(counter, 1);
-        Some(run)
+        materialise
+            .then(|| decision.synthesise(&self.reference, &self.faults[index]))
+            .flatten()
     }
 
     /// The loggable record of experiment `index` from its `run`, named
@@ -898,14 +893,18 @@ impl CampaignPlan {
         index: usize,
         run: &ExperimentRun,
     ) -> ExperimentRecord {
-        record_of(campaign, logged_experiment_name(&campaign.name, index), run)
+        ExperimentRecord::from_run(
+            logged_experiment_name(&campaign.name, index),
+            &campaign.name,
+            run,
+        )
     }
 
     /// The loggable record of the fault-free reference run.
     pub fn reference_record(&self, campaign: &Campaign) -> ExperimentRecord {
-        record_of(
-            campaign,
+        ExperimentRecord::from_run(
             reference_experiment_name(&campaign.name),
+            &campaign.name,
             &self.reference,
         )
     }
@@ -999,18 +998,30 @@ struct Tally {
     runs: Option<Vec<Option<ExperimentRun>>>,
 }
 
+/// A finished row's outcome on its way to the sink.
+enum Done {
+    /// An executed or fanned row, classified against the reference.
+    Run(ExperimentRun),
+    /// A pruned or predicted row, tallied from its decision; its
+    /// synthesised run only when the caller keeps runs.
+    Decided(Option<ExperimentRun>),
+}
+
 /// The single ordered sink every finished row passes through: it logs
 /// the reference first, then experiment rows in fault-list order (a
 /// reorder buffer absorbs out-of-order arrivals from the pool), tallies
-/// each row, and emits progress events.
+/// each row, and emits progress events. Rows reach it, and wait in it,
+/// in their physical form.
 struct Sink<'a> {
     store: Option<&'a mut GoofiStore>,
     controller: Option<&'a Controller>,
     plan: &'a CampaignPlan,
     tally: Tally,
+    /// How a predicted row classifies: the reference against itself.
+    predicted_outcome: Outcome,
     /// The next fault index to log.
     next: usize,
-    pending: BTreeMap<usize, ExperimentRecord>,
+    pending: BTreeMap<usize, Row>,
 }
 
 impl<'a> Sink<'a> {
@@ -1048,11 +1059,27 @@ impl<'a> Sink<'a> {
             controller,
             plan,
             tally,
+            predicted_outcome: classify(&plan.reference, &plan.reference),
             next: 0,
             pending: BTreeMap::new(),
         };
         sink.skip_logged();
         Ok(sink)
+    }
+
+    /// The base of `campaign`'s physical rows, its logged reference
+    /// record; `None` without a store. [`Sink::open`] has logged it when
+    /// the store did not hold it.
+    fn base(&self, campaign: &str) -> Result<Option<Arc<ExperimentRecord>>> {
+        let Some(store) = self.store.as_deref() else {
+            return Ok(None);
+        };
+        match store.reference(campaign)? {
+            Some(base) => Ok(Some(base)),
+            None => Err(GoofiError::Protocol(format!(
+                "campaign `{campaign}` has no logged reference row"
+            ))),
+        }
     }
 
     fn skip_logged(&mut self) {
@@ -1061,36 +1088,54 @@ impl<'a> Sink<'a> {
         }
     }
 
-    /// Accepts finished row `index` (`record` is `None` without a store).
-    fn accept(
-        &mut self,
-        index: usize,
-        record: Option<ExperimentRecord>,
-        run: ExperimentRun,
-    ) -> Result<()> {
-        if let Some(record) = record {
-            self.pending.insert(index, record);
-            while let Some(record) = self.pending.remove(&self.next) {
+    /// Accepts finished row `index`, whose physical `row` is `None`
+    /// without a store.
+    fn accept(&mut self, index: usize, row: Option<Row>, done: Done) -> Result<()> {
+        if let Some(row) = row {
+            // A row in order, the common case, skips the reorder buffer.
+            let mut ready = match index == self.next {
+                true => Some(row),
+                false => {
+                    self.pending.insert(index, row);
+                    None
+                }
+            };
+            while let Some(row) = ready.take().or_else(|| self.pending.remove(&self.next)) {
                 if let Some(store) = self.store.as_deref_mut() {
-                    store.log_experiment(&record)?;
+                    store.append_experiment(&row)?;
                 }
                 self.next += 1;
                 self.skip_logged();
             }
         }
+        let decision = self.plan.decisions[index];
         let tally = &mut self.tally;
-        tally.stats.add_run(&self.plan.reference, &run);
-        tally.predicted += usize::from(run.predicted);
+        let run = match done {
+            Done::Run(run) => {
+                tally.stats.add_run(&self.plan.reference, &run);
+                Some(run)
+            }
+            Done::Decided(run) => {
+                match decision {
+                    Decision::Pruned => tally.stats.add_pruned(),
+                    _ => {
+                        tally.predicted += 1;
+                        tally.stats.add(self.predicted_outcome.clone());
+                    }
+                }
+                run
+            }
+        };
         tally.completed += 1;
         if let Some(ctl) = self.controller {
             ctl.emit(ProgressEvent::ExperimentDone {
                 completed: tally.completed,
                 total: self.plan.len(),
-                pruned: run.pruned,
+                pruned: decision == Decision::Pruned,
             });
         }
         if let Some(runs) = &mut tally.runs {
-            runs[index] = Some(run);
+            runs[index] = run;
         }
         Ok(())
     }
@@ -1100,8 +1145,8 @@ impl<'a> Sink<'a> {
     /// the missing rows), and returns the tally.
     fn close(self) -> Result<Tally> {
         if let Some(store) = self.store {
-            for record in self.pending.into_values() {
-                store.log_experiment(&record)?;
+            for row in self.pending.into_values() {
+                store.append_experiment(&row)?;
             }
         }
         Ok(self.tally)
@@ -1121,9 +1166,12 @@ struct Work<'a> {
     /// Stored runs of representatives whose members are claimed like any
     /// other row (resume only).
     stored_reps: BTreeMap<usize, ExperimentRun>,
-    /// Whether drivers time their gauges, and build records for a store.
+    /// Whether drivers time their gauges.
     timed: bool,
-    records: bool,
+    /// Whether decided rows materialise their runs.
+    keep_runs: bool,
+    /// The base physical rows are encoded against, when there is a store.
+    base: Option<Arc<ExperimentRecord>>,
 }
 
 impl<'a> Work<'a> {
@@ -1158,14 +1206,26 @@ impl<'a> Work<'a> {
             fanout,
             stored_reps,
             timed: false,
-            records: false,
+            keep_runs: false,
+            base: None,
         }
     }
 
-    /// The record of row `i` for the store, when there is one.
-    fn record(&self, i: usize, run: &ExperimentRun) -> Option<ExperimentRecord> {
-        self.records
-            .then(|| self.plan.record(self.campaign, i, run))
+    /// The physical row of row `i` for the store, when there is one: a
+    /// decided row straight from its fault and the reference, any other
+    /// through the record of its run.
+    fn row(&self, i: usize, done: &Done) -> Option<Row> {
+        let base = self.base.as_deref()?;
+        let name = logged_experiment_name(&self.campaign.name, i);
+        Some(match done {
+            Done::Run(run) => rowcodec::compact_row(
+                &ExperimentRecord::from_run(name, &self.campaign.name, run),
+                Some(base),
+            ),
+            Done::Decided(_) => {
+                rowcodec::decided_row(name, &self.campaign.name, &self.plan.faults[i], base)
+            }
+        })
     }
 
     /// The executor loop: claims chunks until `claim` runs dry, runs each
@@ -1178,7 +1238,7 @@ impl<'a> Work<'a> {
         executor: &mut dyn ChunkExecutor,
         gauges: &mut WorkerTelemetry,
         mut claim: impl FnMut() -> Result<Option<usize>>,
-        mut emit: impl FnMut(usize, ExperimentRun) -> Result<()>,
+        mut emit: impl FnMut(usize, Done) -> Result<()>,
     ) -> Result<u64> {
         let plan = self.plan;
         executor.start(plan)?;
@@ -1214,15 +1274,18 @@ impl<'a> Work<'a> {
                         GoofiError::Protocol(format!("no run returned for experiment {i}"))
                     })?,
                     Decision::Proxied(rep) => fanned_run(&self.stored_reps[&rep], &plan.faults[i]),
-                    _ => plan.synthesise(i).expect("pruned or predicted"),
+                    _ => {
+                        emit(i, Done::Decided(plan.decide(i, self.keep_runs)))?;
+                        continue;
+                    }
                 };
                 let members = self.fanout.get(&i).into_iter().flatten();
                 let fans: Vec<_> = members
                     .map(|&m| (m, fanned_run(&run, &plan.faults[m])))
                     .collect();
-                emit(i, run)?;
+                emit(i, Done::Run(run))?;
                 for (m, fan) in fans {
-                    emit(m, fan)?;
+                    emit(m, Done::Run(fan))?;
                 }
             }
         }
@@ -1246,8 +1309,9 @@ fn execute(
     let stored = std::mem::take(&mut plan.stored);
     let plan = &*plan;
     let mut work = Work::new(plan, campaign, &stored);
-    (work.timed, work.records) = (telemetry.is_some(), store.is_some());
     let mut sink = Sink::open(plan, campaign, stored, store, controller, keep_runs)?;
+    (work.timed, work.keep_runs) = (telemetry.is_some(), keep_runs);
+    work.base = sink.base(&campaign.name)?;
     let (tally, stopped) = match (chunk, executors) {
         // One worker on the calling thread: every row is its own claim and
         // pause and stop go through [`Controller::checkpoint`] before it,
@@ -1266,7 +1330,7 @@ fn execute(
                 next += 1;
                 Ok((!stopped).then_some(next - 1))
             };
-            let emit = |i, run| sink.accept(i, work.record(i, &run), run);
+            let emit = |i, done| sink.accept(i, work.row(i, &done), done);
             work.drive(executor.as_mut(), &mut gauges, claim, emit)?;
             if let Some(t) = telemetry {
                 t.recorder.record_worker(gauges);
@@ -1395,14 +1459,15 @@ impl Drop for StopOnUnwind<'_> {
     }
 }
 
-/// A finished row on its way from a driver to the writer.
-type Row = (usize, Option<ExperimentRecord>, ExperimentRun);
+/// A finished row on its way from a driver to the writer: its index,
+/// its physical row when there is a store, and its outcome.
+type Finished = (usize, Option<Row>, Done);
 
 /// The writer thread: owns the sink, drains finished rows from the
 /// drivers and applies operator commands to the gate. Returns the tally
 /// and whether the campaign was stopped.
 fn writer_loop(
-    rx: crossbeam::channel::Receiver<Row>,
+    rx: crossbeam::channel::Receiver<Finished>,
     mut sink: Sink<'_>,
     controller: Option<&Controller>,
     gate: &Gate,
@@ -1431,10 +1496,10 @@ fn writer_loop(
                 }
             },
             recv(rx) -> msg => match msg {
-                Ok((index, record, run)) => {
+                Ok((index, row, done)) => {
                     gate.row_taken();
                     if error.is_none() {
-                        if let Err(e) = sink.accept(index, record, run) {
+                        if let Err(e) = sink.accept(index, row, done) {
                             error = Some(e);
                             abort.store(true, Ordering::Relaxed);
                         }
@@ -1477,7 +1542,7 @@ fn run_pool(
     }
     let abort = AtomicBool::new(false);
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = crossbeam::channel::unbounded::<Row>();
+    let (tx, rx) = crossbeam::channel::unbounded::<Finished>();
 
     std::thread::scope(|scope| {
         let (gate, abort, cursor) = (&gate, &abort, &cursor);
@@ -1505,9 +1570,9 @@ fn run_pool(
                         let admitted = !abort.load(Ordering::Relaxed) && gate.admit();
                         Ok(admitted.then(|| cursor.fetch_add(work.chunk, Ordering::Relaxed)))
                     };
-                    let emit = |i, run| {
+                    let emit = |i, done| {
                         gate.row_sent();
-                        let _ = tx.send((i, work.record(i, &run), run));
+                        let _ = tx.send((i, work.row(i, &done), done));
                         Ok(())
                     };
                     let claims = work
@@ -2049,15 +2114,19 @@ mod tests {
         store.put_target(&MiniTarget::new().describe()).unwrap();
         store.put_campaign(&c).unwrap();
         store
-            .log_experiment(&record_of(
-                &c,
+            .log_experiment(&ExperimentRecord::from_run(
                 reference_experiment_name(&c.name),
+                &c.name,
                 &full.reference,
             ))
             .unwrap();
         for (i, run) in full.runs.iter().take(10).enumerate() {
             store
-                .log_experiment(&record_of(&c, logged_experiment_name(&c.name, i), run))
+                .log_experiment(&ExperimentRecord::from_run(
+                    logged_experiment_name(&c.name, i),
+                    &c.name,
+                    run,
+                ))
                 .unwrap();
         }
 

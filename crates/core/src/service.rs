@@ -34,7 +34,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// Job identifier, unique within one service instance.
@@ -493,6 +493,14 @@ pub trait CampaignService {
 // Job registry
 // ----------------------------------------------------------------------
 
+/// `mutex`'s guard, also after a thread panicked holding it. Each
+/// critical section here leaves the map whole at every step, and a job
+/// that panicked must not take the status of every other job down with
+/// it.
+fn lock<T>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 struct JobEntry {
     status: JobStatus,
     events: Vec<ServiceEvent>,
@@ -519,7 +527,7 @@ impl JobRegistry {
     /// Registers a new queued job and emits its `Queued` event.
     pub fn create(&self, campaign: &str) -> JobId {
         let id = format!("job-{:04}", self.next.fetch_add(1, Ordering::Relaxed) + 1);
-        self.jobs.lock().unwrap().insert(
+        lock(&self.jobs).insert(
             id.clone(),
             JobEntry {
                 status: JobStatus::Queued,
@@ -527,7 +535,7 @@ impl JobRegistry {
                 subscribers: Vec::new(),
             },
         );
-        self.order.lock().unwrap().push(id.clone());
+        lock(&self.order).push(id.clone());
         self.emit(
             &id,
             ServiceEvent::Queued {
@@ -541,7 +549,7 @@ impl JobRegistry {
     /// Appends an event to the job's buffer, updates its status and fans
     /// the event out to live subscribers. Unknown jobs are ignored.
     pub fn emit(&self, job: &str, ev: ServiceEvent) {
-        let mut jobs = self.jobs.lock().unwrap();
+        let mut jobs = lock(&self.jobs);
         let Some(entry) = jobs.get_mut(job) else {
             return;
         };
@@ -593,13 +601,13 @@ impl JobRegistry {
 
     /// The job's status, if known.
     pub fn status(&self, job: &str) -> Option<JobStatus> {
-        self.jobs.lock().unwrap().get(job).map(|e| e.status.clone())
+        lock(&self.jobs).get(job).map(|e| e.status.clone())
     }
 
     /// Subscribes to the job's events — replaying history first when
     /// `from_start` — or `None` for unknown jobs.
     pub fn subscribe(&self, job: &str, from_start: bool) -> Option<EventStream> {
-        let mut jobs = self.jobs.lock().unwrap();
+        let mut jobs = lock(&self.jobs);
         let entry = jobs.get_mut(job)?;
         let (tx, rx) = unbounded();
         if from_start {
@@ -623,10 +631,8 @@ impl JobRegistry {
 
     /// All jobs with statuses, in submission order.
     pub fn jobs(&self) -> Vec<(JobId, JobStatus)> {
-        let jobs = self.jobs.lock().unwrap();
-        self.order
-            .lock()
-            .unwrap()
+        let jobs = lock(&self.jobs);
+        lock(&self.order)
             .iter()
             .filter_map(|id| jobs.get(id).map(|e| (id.clone(), e.status.clone())))
             .collect()
@@ -749,10 +755,7 @@ impl CampaignService for LocalService {
         let job = self.registry.create(&campaign.name);
         let (controller, handle) = control_channel();
         let handle = Arc::new(handle);
-        self.controls
-            .lock()
-            .unwrap()
-            .insert(job.clone(), handle.clone());
+        lock(&self.controls).insert(job.clone(), handle.clone());
 
         let registry = self.registry.clone();
         let db = self.db.clone();
@@ -779,7 +782,7 @@ impl CampaignService for LocalService {
     }
 
     fn cancel(&mut self, job: &str) -> Result<bool> {
-        let controls = self.controls.lock().unwrap();
+        let controls = lock(&self.controls);
         let handle = controls
             .get(job)
             .ok_or_else(|| GoofiError::Service(format!("no such job `{job}`")))?;

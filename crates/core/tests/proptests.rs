@@ -1,10 +1,10 @@
 //! Property-based tests for framework invariants.
 
 use goofi_core::{
-    classify, generate_fault_list, rowcodec, wilson, Campaign, ChainInfo, ExperimentData,
-    ExperimentRecord, ExperimentRun, FaultModel, FieldInfo, LivenessAnalysis, Location,
-    LocationSelector, Outcome, PlannedFault, StateVector, TargetEvent, TargetSystemConfig,
-    TraceStep, TriggerPolicy,
+    classify, generate_fault_list, logged_experiment_name, reference_experiment_name, rowcodec,
+    wilson, Campaign, ChainInfo, Decision, ExperimentData, ExperimentRecord, ExperimentRun,
+    FaultModel, FieldInfo, LivenessAnalysis, Location, LocationSelector, Outcome, PlannedFault,
+    StateVector, TargetEvent, TargetSystemConfig, TraceStep, TriggerPolicy,
 };
 use proptest::prelude::*;
 
@@ -224,6 +224,56 @@ proptest! {
         let _ = rowcodec::encode(&other, base.as_ref());
         let _ = rowcodec::encode(&record, Some(&other));
         prop_assert_eq!(rowcodec::encode(&record.clone(), base.clone().as_ref()), bytes);
+    }
+
+    /// A pruned or predicted row encoded straight from its fault and the
+    /// reference has the bytes of the logical row its decision stands
+    /// for, encoded against the reference: for every fault model, chain
+    /// and memory locations, one or more activation times, and any
+    /// reference outcome, vector and detail trace.
+    #[test]
+    fn decided_rows_encode_as_their_logical_rows(
+        fault in arb_fault(),
+        termination in arb_any_event(),
+        outputs in proptest::collection::vec(any::<u32>(), 0..20),
+        vector in prop_oneof![
+            Just(Vec::new()),
+            proptest::collection::vec(any::<u8>(), 0..2048),
+        ],
+        counts in (any::<u32>(), any::<u64>(), any::<usize>()),
+        trace in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..12), 0..4),
+        row in ("[a-z0-9-]{1,8}", 0usize..200_000, any::<bool>(), any::<bool>()),
+    ) {
+        let (iterations, instructions, activations_done) = counts;
+        let (campaign, index, traced, predicted) = row;
+        let reference = ExperimentRun {
+            fault: None,
+            termination,
+            outputs,
+            state: StateVector::from_bytes(vector.clone(), vector.len() * 8),
+            instructions,
+            iterations,
+            activations_done,
+            detail_trace: traced.then(|| {
+                trace.iter().map(|s| StateVector::from_bytes(s.clone(), s.len() * 8)).collect()
+            }),
+            pruned: false,
+            predicted: false,
+        };
+        let decision = if predicted { Decision::Predicted } else { Decision::Pruned };
+        let run = decision.synthesise(&reference, &fault).expect("a decided row");
+        let base = ExperimentRecord::from_run(
+            reference_experiment_name(&campaign),
+            &campaign,
+            &reference,
+        );
+        let name = logged_experiment_name(&campaign, index);
+        let logical = ExperimentRecord::from_run(name.clone(), &campaign, &run);
+        prop_assert_eq!(
+            rowcodec::encode_decided(&name, &campaign, &fault, &base),
+            rowcodec::encode(&logical, Some(&base))
+        );
+        prop_assert_eq!(Decision::Execute.synthesise(&reference, &fault), None);
     }
 
     /// The classifier is total: every (termination, outputs, state) lands

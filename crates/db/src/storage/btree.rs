@@ -2,12 +2,17 @@
 //! declared secondary indexes of the engine and of [`crate::Table`].
 //!
 //! Classic CLRS shape: minimum degree `B`, preemptive root/child
-//! splits on the way down, `binary_search` within nodes. Point
+//! splits on the way down, a binary search within nodes. Point
 //! lookups and ordered prefix scans are O(log n) in the number of
-//! keys; iteration is in key order. Key *removal* is intentionally
-//! not implemented — both users model deletion by emptying/clearing
-//! the value (and rebuild the tree on compaction), which keeps the
-//! structure append-only and trivially correct.
+//! keys; iteration is in key order. Each node search compares with the
+//! node's last key first: a key inserted in ascending order (experiment
+//! rows, named `{campaign}/{index:05}`) lands past it and skips the
+//! binary search, except in the nodes whose last key is a larger one
+//! inserted earlier (the campaign's `{campaign}/ref` row). Key
+//! *removal* is intentionally not implemented — both users model
+//! deletion by emptying/clearing the value (and rebuild the tree on
+//! compaction), which keeps the structure append-only and trivially
+//! correct.
 
 use std::cmp::Ordering;
 
@@ -20,6 +25,18 @@ struct Node<K, V> {
     keys: Vec<K>,
     vals: Vec<V>,
     children: Vec<Node<K, V>>,
+}
+
+/// Where a probe falls among a node's sorted `keys`, as
+/// `binary_search_by` answers for `cmp` (a key's order against the
+/// probe). The last key is compared first, and the binary search runs
+/// only when the probe is not past it.
+fn search<K>(keys: &[K], mut cmp: impl FnMut(&K) -> Ordering) -> Result<usize, usize> {
+    match keys.last().map(&mut cmp) {
+        None | Some(Ordering::Less) => Err(keys.len()),
+        Some(Ordering::Equal) => Ok(keys.len() - 1),
+        Some(Ordering::Greater) => keys[..keys.len() - 1].binary_search_by(cmp),
+    }
 }
 
 impl<K, V> Node<K, V> {
@@ -118,7 +135,7 @@ impl<K: Ord, V> BTree<K, V> {
     }
 
     fn entry_nonfull(node: &mut Node<K, V>, key: K, f: impl FnOnce() -> V) -> (&mut V, bool) {
-        match node.keys.binary_search(&key) {
+        match search(&node.keys, |k| k.cmp(&key)) {
             Ok(i) => (&mut node.vals[i], false),
             Err(mut i) => {
                 if node.is_leaf() {
@@ -141,9 +158,16 @@ impl<K: Ord, V> BTree<K, V> {
 
     /// Point lookup.
     pub fn get(&self, key: &K) -> Option<&V> {
+        self.get_by(|k| k.cmp(key))
+    }
+
+    /// Point lookup of the key for which `cmp` (a key's order against
+    /// the probe, consistent with `K`'s order) answers `Equal`, so a
+    /// caller can probe with a borrowed form of the key.
+    pub fn get_by(&self, mut cmp: impl FnMut(&K) -> Ordering) -> Option<&V> {
         let mut node = &*self.root;
         loop {
-            match node.keys.binary_search(key) {
+            match search(&node.keys, &mut cmp) {
                 Ok(i) => return Some(&node.vals[i]),
                 Err(i) => {
                     if node.is_leaf() {
@@ -159,7 +183,7 @@ impl<K: Ord, V> BTree<K, V> {
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
         let mut node = &mut *self.root;
         loop {
-            match node.keys.binary_search(key) {
+            match search(&node.keys, |k| k.cmp(key)) {
                 Ok(i) => return Some(&mut node.vals[i]),
                 Err(i) => {
                     if node.is_leaf() {
@@ -213,7 +237,7 @@ impl<K: Ord, V> BTree<K, V> {
             start: &K,
             f: &mut impl FnMut(&'a K, &'a V) -> bool,
         ) -> bool {
-            let (i, descend) = match node.keys.binary_search(start) {
+            let (i, descend) = match search(&node.keys, |k| k.cmp(start)) {
                 Ok(i) => (i, false),
                 Err(i) => (i, true),
             };
@@ -243,6 +267,61 @@ impl<K: Ord, V> Default for BTree<K, V> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Inserts and lookups, through the last-key check, agree with
+        /// `BTreeMap` whatever the insertion order: ascending (every key
+        /// past the last), descending, random, and an ascending run
+        /// behind a larger key already in the tree (experiment rows
+        /// behind their campaign's `ref` row). Probes go below, at and
+        /// above the largest key.
+        #[test]
+        fn last_key_check_matches_btreemap(
+            order in 0u8..4,
+            n in 1usize..700,
+            seed in any::<u64>(),
+            probes in proptest::collection::vec(any::<u16>(), 1..40),
+        ) {
+            let mut x = seed | 1;
+            let mut random = move || {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x
+            };
+            let keys: Vec<u32> = match order {
+                0 => (0..n as u32).map(|k| k * 3).collect(),
+                1 => (0..n as u32).rev().map(|k| k * 3).collect(),
+                2 => (0..n).map(|_| (random() % 4096) as u32).collect(),
+                _ => std::iter::once(1 << 20)
+                    .chain((0..n as u32).map(|k| k * 3))
+                    .collect(),
+            };
+            let (mut tree, mut model) = (BTree::new(), std::collections::BTreeMap::new());
+            for (i, &k) in keys.iter().enumerate() {
+                // An earlier key again, through the entry path: found,
+                // not replaced.
+                let again = keys[i / 3];
+                prop_assert_eq!(tree.insert(k, i), model.insert(k, i));
+                prop_assert_eq!(
+                    *tree.get_or_insert_with(again, || usize::MAX),
+                    *model.entry(again).or_insert(usize::MAX)
+                );
+            }
+            prop_assert_eq!(tree.len(), model.len());
+            let max = *model.keys().next_back().expect("n >= 1");
+            let near_max = [max.saturating_sub(1), max, max + 1, 0, u32::MAX];
+            for probe in probes.iter().map(|&p| u32::from(p)).chain(near_max) {
+                prop_assert_eq!(tree.get(&probe), model.get(&probe));
+                prop_assert_eq!(tree.get_by(|k| k.cmp(&probe)), model.get(&probe));
+                prop_assert_eq!(tree.get_mut(&probe).copied(), model.get(&probe).copied());
+            }
+            let mut got = Vec::new();
+            tree.for_each(&mut |k, v| got.push((*k, *v)));
+            prop_assert_eq!(got, model.into_iter().collect::<Vec<_>>());
+        }
+    }
 
     #[test]
     fn insert_get_and_order_match_btreemap() {

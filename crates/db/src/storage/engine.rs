@@ -124,10 +124,11 @@ impl EngineTable {
         }
     }
 
-    /// The live row location under primary key `key`.
+    /// The live row location under primary key `key`, looked up by
+    /// borrowing it.
     fn locate(&self, key: &Value) -> Option<RowId> {
         self.pk?;
-        self.index.get(&IndexKey(key.clone())).copied().flatten()
+        self.index.get_by(|k| k.0.total_cmp(key)).copied().flatten()
     }
 }
 

@@ -3,6 +3,10 @@
 //! connection, with `watch` holding its connection open to stream
 //! events. A frame from a different protocol version is answered with a
 //! typed [`WireError::VersionMismatch`], never a decode failure.
+//!
+//! The accept loop blocks in `accept`; a [`Request::Shutdown`] sets the
+//! shutdown flag and then connects to the daemon's own address, so the
+//! loop wakes, sees the flag and stops accepting.
 
 use goofi_core::service::CampaignService;
 use goofi_core::{GoofiError, Result};
@@ -11,10 +15,9 @@ use goofi_net::{
     WireError, PROTOCOL_VERSION,
 };
 use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A campaign daemon bound to a TCP address.
 pub struct Daemon<S: CampaignService + Send + 'static> {
@@ -51,52 +54,67 @@ impl<S: CampaignService + Send + 'static> Daemon<S> {
             .map_err(|e| GoofiError::Service(format!("no local address: {e}")))
     }
 
-    /// A flag that stops [`Daemon::serve`] when set (besides the
-    /// in-protocol [`Request::Shutdown`]).
-    pub fn shutdown_flag(&self) -> Arc<AtomicBool> {
-        self.shutdown.clone()
-    }
-
-    /// Serves connections until a [`Request::Shutdown`] arrives (or the
-    /// shutdown flag is set). Each connection is handled on its own
-    /// thread; `watch` connections stream until their job ends.
+    /// Serves connections until a [`Request::Shutdown`] arrives. Each
+    /// connection is handled on its own thread. After the shutdown the
+    /// listener closes, so no new connection is accepted, and `serve`
+    /// returns once the connections in flight have ended; a `watch`
+    /// streams until its job ends.
     ///
     /// # Errors
     ///
     /// [`GoofiError::Service`] on listener failures.
     pub fn serve(self) -> Result<()> {
-        self.listener
-            .set_nonblocking(true)
-            .map_err(|e| GoofiError::Service(format!("listener setup: {e}")))?;
+        let wake = wake_address(self.local_addr()?);
+        let Daemon {
+            service,
+            listener,
+            shutdown,
+        } = self;
         let mut conns: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        while !self.shutdown.load(Ordering::Relaxed) {
-            match self.listener.accept() {
-                Ok((stream, _peer)) => {
-                    let _ = stream.set_nonblocking(false);
-                    let service = self.service.clone();
-                    let shutdown = self.shutdown.clone();
-                    conns.push(std::thread::spawn(move || {
-                        if let Err(e) = serve_connection(stream, &service, &shutdown) {
-                            // Transport hiccups on one connection don't
-                            // concern the daemon; note them and move on.
-                            eprintln!("goofi-server: connection error: {e}");
-                        }
-                    }));
-                }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(20));
-                }
-                Err(e) => {
-                    return Err(GoofiError::Service(format!("accept failed: {e}")));
-                }
+        loop {
+            let stream = match listener.accept() {
+                Ok((stream, _peer)) => stream,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(e) => return Err(GoofiError::Service(format!("accept failed: {e}"))),
+            };
+            // The shutdown's own wake-up connection lands here too.
+            if shutdown.load(Ordering::Acquire) {
+                break;
             }
+            let (service, shutdown) = (service.clone(), shutdown.clone());
+            conns.push(std::thread::spawn(move || {
+                if let Err(e) = serve_connection(stream, &service, &shutdown, wake) {
+                    // Transport hiccups on one connection don't
+                    // concern the daemon; note them and move on.
+                    eprintln!("goofi-server: connection error: {e}");
+                }
+            }));
             conns.retain(|t| !t.is_finished());
         }
+        drop(listener);
         for t in conns {
             let _ = t.join();
         }
         Ok(())
     }
+}
+
+/// The address a connection to the daemon bound at `bound` reaches it
+/// on: `bound` itself, or loopback when bound to every interface.
+fn wake_address(mut bound: SocketAddr) -> SocketAddr {
+    if bound.ip().is_unspecified() {
+        bound.set_ip(match bound {
+            SocketAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+            SocketAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+        });
+    }
+    bound
+}
+
+/// The service, also after a connection thread panicked holding it: one
+/// failed request must not take every later connection down with it.
+fn lock<S>(service: &Mutex<S>) -> MutexGuard<'_, S> {
+    service.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 fn respond(stream: &mut TcpStream, response: &Response) -> NetResult<()> {
@@ -109,6 +127,7 @@ fn serve_connection<S: CampaignService>(
     mut stream: TcpStream,
     service: &Arc<Mutex<S>>,
     shutdown: &Arc<AtomicBool>,
+    wake: SocketAddr,
 ) -> NetResult<()> {
     let frame = match read_frame(&mut stream) {
         // Connecting and hanging up without a request is fine.
@@ -156,7 +175,7 @@ fn serve_connection<S: CampaignService>(
                 }
             }
         }
-        Request::Submit { spec } => match service.lock().unwrap().submit(spec) {
+        Request::Submit { spec } => match lock(service).submit(spec) {
             Ok(job) => Response::Submitted { job },
             Err(e) => Response::Error {
                 error: WireError::Rejected {
@@ -164,14 +183,14 @@ fn serve_connection<S: CampaignService>(
                 },
             },
         },
-        Request::Status { job } => match service.lock().unwrap().status(&job) {
+        Request::Status { job } => match lock(service).status(&job) {
             Ok(status) => Response::Status { job, status },
             Err(_) => Response::Error {
                 error: WireError::NoSuchJob { job },
             },
         },
         Request::Watch { job, from_start } => {
-            let events = service.lock().unwrap().watch(&job, from_start);
+            let events = lock(service).watch(&job, from_start);
             match events {
                 Ok(events) => {
                     respond(&mut stream, &Response::Watching { job })?;
@@ -187,13 +206,13 @@ fn serve_connection<S: CampaignService>(
                 },
             }
         }
-        Request::Cancel { job } => match service.lock().unwrap().cancel(&job) {
+        Request::Cancel { job } => match lock(service).cancel(&job) {
             Ok(delivered) => Response::Cancelled { job, delivered },
             Err(_) => Response::Error {
                 error: WireError::NoSuchJob { job },
             },
         },
-        Request::Jobs => match service.lock().unwrap().jobs() {
+        Request::Jobs => match lock(service).jobs() {
             Ok(jobs) => Response::Jobs {
                 jobs: jobs
                     .into_iter()
@@ -207,7 +226,9 @@ fn serve_connection<S: CampaignService>(
             },
         },
         Request::Shutdown => {
-            shutdown.store(true, Ordering::Relaxed);
+            shutdown.store(true, Ordering::Release);
+            // Wakes the accept loop; the connection is dropped unserved.
+            TcpStream::connect(wake).map_err(NetError::Io)?;
             Response::ShuttingDown
         }
         other => Response::Error {
@@ -217,4 +238,106 @@ fn serve_connection<S: CampaignService>(
         },
     };
     respond(&mut stream, &response)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crossbeam::channel::{unbounded, Receiver, Sender};
+    use goofi_core::service::{EventStream, JobId, JobSpec, JobStatus, ServiceEvent};
+    use goofi_net::RemoteService;
+    use std::time::{Duration, Instant};
+
+    /// A service whose only job streams what the test sends it, and which
+    /// reports each `watch` it serves.
+    struct Stub {
+        events: Receiver<ServiceEvent>,
+        watched: Sender<()>,
+    }
+
+    impl CampaignService for Stub {
+        fn submit(&mut self, _: JobSpec) -> Result<JobId> {
+            Err(GoofiError::Service("stub".into()))
+        }
+        fn status(&mut self, _: &str) -> Result<JobStatus> {
+            Err(GoofiError::Service("stub".into()))
+        }
+        fn watch(&mut self, _: &str, _: bool) -> Result<EventStream> {
+            let _ = self.watched.send(());
+            Ok(EventStream::from_receiver(self.events.clone()))
+        }
+        fn cancel(&mut self, _: &str) -> Result<bool> {
+            Ok(false)
+        }
+        fn jobs(&mut self) -> Result<Vec<(JobId, JobStatus)>> {
+            Ok(Vec::new())
+        }
+    }
+
+    /// A daemon on an ephemeral loopback port, serving on its own
+    /// thread: its address, the job's event sender, the watch reports
+    /// and the serving thread.
+    fn start() -> (
+        String,
+        Sender<ServiceEvent>,
+        Receiver<()>,
+        std::thread::JoinHandle<Result<()>>,
+    ) {
+        let (tx, events) = unbounded();
+        let (watched, seen) = unbounded();
+        let daemon = Daemon::bind("127.0.0.1:0", Stub { events, watched }).unwrap();
+        let addr = daemon.local_addr().unwrap().to_string();
+        (addr, tx, seen, std::thread::spawn(move || daemon.serve()))
+    }
+
+    /// Waits up to ten seconds for `done`.
+    fn within_10s(mut done: impl FnMut() -> bool) -> bool {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while Instant::now() < deadline {
+            if done() {
+                return true;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+        false
+    }
+
+    #[test]
+    fn shutdown_returns_serve_on_an_idle_daemon() {
+        let (addr, _events, _seen, server) = start();
+        RemoteService::connect(addr).unwrap().shutdown().unwrap();
+        assert!(within_10s(|| server.is_finished()), "serve() still blocked");
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn shutdown_stops_accepting_while_a_watch_streams_to_its_end() {
+        let (addr, events, seen, server) = start();
+        let mut watcher = RemoteService::connect(&addr).unwrap();
+        let stream = watcher.watch("job-1", true).unwrap();
+        assert!(within_10s(|| seen.try_recv().is_ok()), "watch never served");
+        events
+            .send(ServiceEvent::Started {
+                campaign: "c".into(),
+                total: 1,
+            })
+            .unwrap();
+        RemoteService::connect(&addr).unwrap().shutdown().unwrap();
+        // The accept loop woke and closed the listener although the
+        // watch connection is still open.
+        assert!(
+            within_10s(|| TcpStream::connect(&addr).is_err()),
+            "the daemon still accepts connections after its shutdown"
+        );
+        assert!(!server.is_finished(), "serve() left a watch streaming");
+        events
+            .send(ServiceEvent::Failed {
+                error: "end of the test job".into(),
+            })
+            .unwrap();
+        let got: Vec<ServiceEvent> = stream.collect();
+        assert_eq!(got.len(), 2, "{got:?}");
+        assert!(within_10s(|| server.is_finished()), "serve() still blocked");
+        server.join().unwrap().unwrap();
+    }
 }

@@ -17,6 +17,7 @@
 //!   stdin/stdout).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod daemon;
 mod process;

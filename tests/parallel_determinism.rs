@@ -5,10 +5,10 @@
 //! the engine's write-ahead log.
 
 use goofi_repro::core::{
-    analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, Command,
-    FaultModel, GoofiStore, LocationSelector, ProgressEvent, Result, RunOptions, StateVector,
-    StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig, TargetSystemInterface,
-    Technique, TraceStep,
+    analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, CampaignStats,
+    Command, FaultModel, GoofiStore, LocationSelector, ProgressEvent, Pruning, Result, RunOptions,
+    StateVector, StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig,
+    TargetSystemInterface, Technique, TraceStep,
 };
 use goofi_repro::targets::ThorTarget;
 use goofi_repro::workloads::sort_workload;
@@ -343,4 +343,137 @@ fn journal_replay_recovers_unsnapshotted_parallel_campaign() {
 
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(path.with_extension("json.wal")).ok();
+}
+
+/// Pruned and predicted rows are written straight from the fault and the
+/// reference, and class members from their representative: a campaign
+/// that decides most of its rows so saves the same bytes as the
+/// sequential runner that keeps every run, at workers 1, 2 and 4, and
+/// after a stop and a parallel resume.
+#[test]
+fn decided_rows_are_byte_identical_at_any_worker_count_and_across_resume() {
+    let c = Campaign::builder("det-decided", "thor-card", "sort12")
+        .technique(Technique::Scifi)
+        .select(LocationSelector::Chain {
+            chain: "cpu".into(),
+            field: Some("R6".into()),
+        })
+        .fault_model(FaultModel::BitFlip)
+        .window(0, 400)
+        .experiments(400)
+        .seed(3)
+        .build()
+        .unwrap();
+    let options = RunOptions::new()
+        .pruning(Pruning::Static)
+        .prediction(true)
+        .class_execution(true);
+    let saved = |store: &mut GoofiStore, name: &str| {
+        let path = tmp(name);
+        store.save(&path).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    };
+
+    let mut seq_store = seeded_store(&c);
+    let mut target = ThorTarget::new("thor-card", sort_workload(12, 9));
+    let seq = CampaignRunner::new(&mut target, &c)
+        .store(&mut seq_store)
+        .options(options)
+        .run()
+        .unwrap();
+    let fanned = seq.static_analysis.as_ref().map(|a| a.class_savings().1);
+    assert!(
+        seq.pruned() > 0 && seq.predicted() > 0 && fanned > Some(0),
+        "the campaign must prune ({}), predict ({}) and fan out ({fanned:?})",
+        seq.pruned(),
+        seq.predicted()
+    );
+    // Decided rows are tallied from their decisions, not classified.
+    assert_eq!(
+        seq.stats,
+        CampaignStats::from_runs(&seq.reference, &seq.runs)
+    );
+    let seq_bytes = saved(&mut seq_store, "decided_seq.db");
+
+    // The services' body keeps no runs, so no decided row is ever
+    // materialised on this path.
+    for workers in [1usize, 2, 4] {
+        let mut store = seeded_store(&c);
+        let summary = CampaignRunner::from_factory(factory, &c)
+            .workers(workers)
+            .store(&mut store)
+            .options(options)
+            .run_summary()
+            .unwrap();
+        assert_eq!(summary.stats, seq.stats, "{workers} worker(s)");
+        assert_eq!(summary.predicted, seq.predicted(), "{workers} worker(s)");
+        assert_eq!(
+            saved(&mut store, &format!("decided_par{workers}.db")),
+            seq_bytes,
+            "{workers}-worker database differs from sequential"
+        );
+    }
+
+    // Stop after the 5th completed row; read-backs past the 20th wait for
+    // the stop, so the campaign cannot finish first.
+    let (controller, handle) = control_channel();
+    let hold = Hold::new(20);
+    let held = {
+        let hold = hold.clone();
+        move || {
+            Box::new(HeldThor {
+                inner: ThorTarget::new("thor-card", sort_workload(12, 9)),
+                hold: hold.clone(),
+            }) as Box<dyn TargetSystemInterface>
+        }
+    };
+    let watcher = std::thread::spawn(move || {
+        let mut done = 0;
+        while let Some(event) = handle.next() {
+            match event {
+                ProgressEvent::ExperimentDone { .. } => {
+                    done += 1;
+                    if done == 5 {
+                        handle.send(Command::Stop);
+                        hold.release();
+                    }
+                }
+                ProgressEvent::Finished { .. } => break,
+                _ => {}
+            }
+        }
+    });
+    let mut store = seeded_store(&c);
+    let stopped = CampaignRunner::from_factory(held, &c)
+        .workers(2)
+        .store(&mut store)
+        .options(options)
+        .observer(&controller)
+        .run_summary()
+        .unwrap();
+    drop(controller);
+    watcher.join().unwrap();
+    assert!(
+        stopped.experiments < 400,
+        "stop must cut the campaign short"
+    );
+
+    let resumed = CampaignRunner::from_factory(factory, &c)
+        .workers(4)
+        .options(options)
+        .resume_from(&mut store)
+        .run_summary()
+        .unwrap();
+    assert_eq!(resumed.experiments, 400);
+    assert_eq!(
+        analyze_campaign(&store, &c.name).unwrap(),
+        analyze_campaign(&seq_store, &c.name).unwrap()
+    );
+    assert_eq!(
+        saved(&mut store, "decided_resumed.db"),
+        seq_bytes,
+        "stop + resume differs from an uninterrupted run"
+    );
 }
