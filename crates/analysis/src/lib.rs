@@ -1,13 +1,16 @@
 //! # goofi-analysis — static workload analysis for GOOFI targets
 //!
-//! The trace-free counterpart of `goofi_core::preinject`: instead of
-//! recording a full reference read/write trace and pruning against it,
-//! this crate builds a control-flow graph over the workload binary from
-//! each ISA's shared def/use tables, runs a backward write-before-read
-//! *must* fixpoint over it, and maps the per-program-point facts onto
-//! injection times with a cheap concrete replay that observes only the
-//! program counter (and, for the stack machine, the stack shape) — no
-//! state trace, no read/write log.
+//! The campaign runner's one decision engine: every pruned, predicted
+//! and class-proxied experiment is decided from the analysis this crate
+//! builds. Instead of recording a full reference read/write trace (the
+//! `goofi_core::preinject` oracle), it builds a control-flow graph over
+//! the workload binary from each ISA's shared def/use tables, runs a
+//! backward write-before-read *must* fixpoint over it for the lints, and
+//! maps def/use onto injection times with a cheap concrete replay that
+//! observes only the program counter (and, for the stack machine, the
+//! stack shape) — no state trace, no read/write log. One first-touch
+//! walk per location over that replay yields the dead, equivalence and
+//! washout windows.
 //!
 //! The result is conservative by construction: the dynamic execution
 //! from any injection time is one of the CFG paths the must-analysis
@@ -16,7 +19,7 @@
 //! static prune set is therefore always a subset of the trace-based one
 //! (property-tested in `goofi-targets`).
 //!
-//! On top of the dead windows, the `propagation` module runs a
+//! Seeded by that walk, the `propagation` module runs a
 //! fault-propagation (taint washout) analysis along the same replayed
 //! timeline: faults whose corrupted value is read but provably washes
 //! out of the architectural state — without touching a control, address,
@@ -35,6 +38,7 @@
 //!   and data words are all modelled exactly.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod model;
 mod propagation;

@@ -11,7 +11,7 @@
 //! * **write-before-read** (backward, *must*, least fixpoint): at which
 //!   points is a location guaranteed to be overwritten before any read on
 //!   every path? Powers the dead-store lint; the pruning windows
-//!   themselves come from [`Model::analyze`]'s suffix walk over the
+//!   themselves come from [`Model::analyze`]'s first-touch walk over the
 //!   replayed path, which refines this fact with the one path the
 //!   workload actually takes.
 //! * **may-written** (forward, *may*): has any path written the location
@@ -25,7 +25,9 @@
 //! are "nothing is dead past this point", for the lint analyses they are
 //! "anything may happen", so both stay conservative.
 
+use crate::propagation::Washout;
 use goofi_core::{Lint, LintKind, StaticAnalysis};
+use goofi_telemetry::names;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// What kind of program point a node is.
@@ -371,17 +373,28 @@ impl Model {
     /// (times the replay did not cover — after a halt, trap or the
     /// horizon — are simply absent, hence never dead).
     ///
-    /// Dead windows come from a backward suffix walk over the replayed
-    /// path: a fault in location `l` at time `t` is dead iff the first
-    /// node at or after `t` whose static def/use touches `l` is a pure
-    /// write. For every modeled location the static def/use of the
-    /// executed node equals what the instrumented machine would record
-    /// dynamically (register operands are fixed by the encoding; stack
-    /// cells by the abstract stack shape the timeline keys on), so this
-    /// is exactly the trace-based first-use verdict — computed without
-    /// recording any read/write trace. Past the end of the replay
-    /// everything counts as a potential read, mirroring the dynamic
-    /// analysis keeping `FirstUse::Never` faults as possibly latent.
+    /// Every window comes from one backward walk per location over the
+    /// replayed path, which finds the *first touch* at or after each
+    /// time: the first node whose static def/use reads or writes the
+    /// location. Halt and Unknown nodes are barriers (a halt ends
+    /// execution, an unknown point may read anything), and past the end
+    /// of the replay nothing is claimed, mirroring the dynamic analysis
+    /// keeping `FirstUse::Never` faults as possibly latent. For every
+    /// modeled location the static def/use of the executed node equals
+    /// what the instrumented machine would record dynamically (register
+    /// operands are fixed by the encoding; stack cells by the abstract
+    /// stack shape the timeline keys on), so these are exactly the
+    /// trace-based first-use verdicts — computed without recording any
+    /// read/write trace. Each run of times sharing a first touch gives:
+    ///
+    /// * an **equivalence window**: until the touch the fault-free path
+    ///   never consults the location, so a single-activation mutation
+    ///   anywhere in the run yields the same post-injection state;
+    /// * when the touch is a pure write, a **dead** run (adjacent dead
+    ///   runs merge into one dead window) whose faults die at the touch;
+    /// * otherwise the seed of the taint walk
+    ///   ([`crate::propagation::Washout`]) deciding whether its faults
+    ///   wash out. Dead runs are washout windows too, dying at the touch.
     pub fn analyze(&self, timeline: &[usize], horizon: u64) -> StaticAnalysis {
         let reachable = self.reachable();
         let wbr = self.write_before_read();
@@ -392,91 +405,44 @@ impl Model {
                 .unwrap_or(usize::MAX)
                 .saturating_add(1),
         );
+        let span = tracing::span(names::ANALYSIS_WINDOWS);
+        let mut walker = Washout::new(self, timeline, covered);
         let mut dead: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
-        for (l, name) in self.locations.iter().enumerate() {
-            let mut dead_at = vec![false; timeline.len()];
-            let mut dead_after = false;
-            for (t, &n) in timeline.iter().enumerate().rev() {
-                let node = &self.nodes[n];
-                dead_after = match node.kind {
-                    // A halt ends execution (nothing overwrites the
-                    // fault any more) and an unknown point may read
-                    // anything: both are barriers.
-                    NodeKind::Halt | NodeKind::Unknown => false,
-                    NodeKind::Normal => {
-                        if node.reads.contains(&l) {
-                            false
-                        } else if node.writes.contains(&l) {
-                            true
-                        } else {
-                            dead_after
-                        }
-                    }
-                };
-                dead_at[t] = dead_after;
-            }
-            let mut windows: Vec<(u64, u64)> = Vec::new();
-            for (t, &d) in dead_at[..covered].iter().enumerate() {
-                if !d {
-                    continue;
-                }
-                let t = t as u64;
-                match windows.last_mut() {
-                    Some((_, end)) if *end + 1 == t => *end = t,
-                    _ => windows.push((t, t)),
-                }
-            }
-            if !windows.is_empty() {
-                dead.insert(name.clone(), windows);
-            }
-        }
-
-        // Equivalence windows: maximal runs of consecutive injection times
-        // that share the same *first-touch* step (the first node at or
-        // after `t` whose def/use touches the location, read or write).
-        // Until that step the fault-free path never consults the location,
-        // so its pre-fault value is constant across the window and a
-        // single-activation mutation applied anywhere in the window yields
-        // the same post-injection state — every member of the window is a
-        // faithful execution proxy for every other. Halt and Unknown nodes
-        // are barriers exactly as for the dead windows: past them nothing
-        // is claimed.
         let mut equiv: BTreeMap<String, Vec<(u64, u64)>> = BTreeMap::new();
+        let mut washout: BTreeMap<String, Vec<(u64, u64, u64)>> = BTreeMap::new();
         for (l, name) in self.locations.iter().enumerate() {
-            let mut touch_at: Vec<Option<u64>> = vec![None; timeline.len()];
-            let mut touch: Option<u64> = None;
-            for (t, &n) in timeline.iter().enumerate().rev() {
-                let node = &self.nodes[n];
-                touch = match node.kind {
-                    NodeKind::Halt | NodeKind::Unknown => None,
-                    NodeKind::Normal => {
-                        if node.reads.contains(&l) || node.writes.contains(&l) {
-                            Some(t as u64)
-                        } else {
-                            touch
-                        }
+            let groups = self.first_touch_groups(l, timeline, covered);
+            if groups.is_empty() {
+                continue;
+            }
+            let mut dead_l: Vec<(u64, u64)> = Vec::new();
+            let mut washout_l = Vec::new();
+            for g in &groups {
+                let died = if g.pure_write {
+                    match dead_l.last_mut() {
+                        Some((_, end)) if *end + 1 == g.start => *end = g.end,
+                        _ => dead_l.push((g.start, g.end)),
                     }
+                    Some(g.touch as u64)
+                } else {
+                    walker.died_by(l, g.touch)
                 };
-                touch_at[t] = touch;
-            }
-            let mut windows: Vec<(u64, u64)> = Vec::new();
-            let mut prev: Option<u64> = None;
-            for (t, &u) in touch_at[..covered].iter().enumerate() {
-                let Some(u) = u else {
-                    prev = None;
-                    continue;
-                };
-                let t = t as u64;
-                match windows.last_mut() {
-                    Some((_, end)) if *end + 1 == t && prev == Some(u) => *end = t,
-                    _ => windows.push((t, t)),
+                if let Some(died) = died {
+                    washout_l.push((g.start, g.end, died));
                 }
-                prev = Some(u);
             }
-            if !windows.is_empty() {
-                equiv.insert(name.clone(), windows);
+            equiv.insert(
+                name.clone(),
+                groups.iter().map(|g| (g.start, g.end)).collect(),
+            );
+            if !dead_l.is_empty() {
+                dead.insert(name.clone(), dead_l);
+            }
+            if !washout_l.is_empty() {
+                washout.insert(name.clone(), washout_l);
             }
         }
+        drop(span);
 
         StaticAnalysis {
             horizon,
@@ -485,13 +451,56 @@ impl Model {
             edges,
             dead,
             equiv,
-            washout: crate::propagation::washout_windows(self, timeline, covered),
+            washout,
             lints: self.lints(&reachable, &wbr),
             classes: Vec::new(),
             eligible_faults: 0,
             singleton_classes: 0,
         }
     }
+
+    /// The first-touch walk for location `l`: one backward pass over the
+    /// timeline, returning the runs of injection times below `covered`
+    /// that share a first touch, in time order. Each run ends at its
+    /// touch (or at the last covered time).
+    fn first_touch_groups(&self, l: usize, timeline: &[usize], covered: usize) -> Vec<TouchGroup> {
+        let mut groups: Vec<TouchGroup> = Vec::new();
+        let mut touch: Option<usize> = None;
+        for (t, &n) in timeline.iter().enumerate().rev() {
+            let node = &self.nodes[n];
+            touch = match node.kind {
+                NodeKind::Halt | NodeKind::Unknown => None,
+                NodeKind::Normal if node.reads.contains(&l) || node.writes.contains(&l) => Some(t),
+                NodeKind::Normal => touch,
+            };
+            let Some(u) = touch.filter(|_| t < covered) else {
+                continue;
+            };
+            // Times sharing a touch are contiguous: walking backward, a
+            // run only ever extends the one pushed last.
+            match groups.last_mut() {
+                Some(g) if g.touch == u => g.start = t as u64,
+                _ => groups.push(TouchGroup {
+                    start: t as u64,
+                    end: t as u64,
+                    touch: u,
+                    pure_write: !self.nodes[timeline[u]].reads.contains(&l),
+                }),
+            }
+        }
+        groups.reverse();
+        groups
+    }
+}
+
+/// A maximal run `[start, end]` of injection times whose first touch of
+/// one location is timeline step `touch`.
+struct TouchGroup {
+    start: u64,
+    end: u64,
+    touch: usize,
+    /// Whether the touch writes the location without reading it.
+    pure_write: bool,
 }
 
 #[cfg(test)]

@@ -37,12 +37,12 @@
 //! The result is a per-location list of *washout windows*
 //! `(start, end, died_by)`: a fault injected anywhere in
 //! `[start, end]` has provably left the state after step `died_by`
-//! executes. Windows are grouped by first-touch step exactly like the
-//! equivalence windows, because every injection time in a first-touch
-//! group yields the same post-touch propagation.
+//! executes. [`Model::analyze`]'s first-touch walk seeds one taint walk
+//! per run of times sharing a read first touch — exactly its
+//! equivalence windows — because every injection time in such a run
+//! yields the same post-touch propagation.
 
 use crate::model::{Model, NodeKind};
-use std::collections::BTreeMap;
 
 /// Global budget of taint-walk steps per analysis, so a pathological
 /// workload cannot make the analyzer quadratic. Walks past the budget
@@ -150,87 +150,63 @@ fn walk(
     None
 }
 
-/// Computes the washout windows for every modeled location over the
-/// replayed timeline, claiming only injection times below `covered`.
-/// Returned as `location -> sorted disjoint (start, end, died_by)`.
-pub(crate) fn washout_windows(
-    model: &Model,
-    timeline: &[usize],
-    covered: usize,
-) -> BTreeMap<String, Vec<(u64, u64, u64)>> {
-    let locations = model.locations();
-    if locations.is_empty() || covered == 0 {
-        return BTreeMap::new();
-    }
-    let words = locations.len().div_ceil(64);
-    let masks: Vec<NodeMasks> = model
-        .nodes()
-        .iter()
-        .map(|node| {
-            let (stable, unstable): (Vec<usize>, Vec<usize>) = node
-                .writes
-                .iter()
-                .copied()
-                .partition(|&w| model.is_path_determined(w));
-            NodeMasks {
-                reads: mask_of(&node.reads, words),
-                barriers: mask_of(&node.barriers, words),
-                writes: mask_of(&node.writes, words),
-                writes_unstable: mask_of(&unstable, words),
-                writes_stable: mask_of(&stable, words),
-            }
-        })
-        .collect();
+/// The taint walker over one replayed timeline: per-node def/use masks,
+/// built once, and the step budget every walk of the analysis shares.
+pub(crate) struct Washout<'a> {
+    model: &'a Model,
+    timeline: &'a [usize],
+    masks: Vec<NodeMasks>,
+    budget: usize,
+}
 
-    let mut budget = (covered * 64).max(WALK_BUDGET_FLOOR);
-    let mut washout: BTreeMap<String, Vec<(u64, u64, u64)>> = BTreeMap::new();
-    for (l, name) in locations.iter().enumerate() {
-        // First-touch step at or after each time, with halt/unknown
-        // barriers — the same grouping the equivalence windows use.
-        let mut touch_at: Vec<Option<usize>> = vec![None; timeline.len()];
-        let mut touch: Option<usize> = None;
-        for (t, &n) in timeline.iter().enumerate().rev() {
-            let node = &model.nodes()[n];
-            touch = match node.kind {
-                NodeKind::Halt | NodeKind::Unknown => None,
-                NodeKind::Normal => {
-                    if node.reads.contains(&l) || node.writes.contains(&l) {
-                        Some(t)
-                    } else {
-                        touch
-                    }
+impl<'a> Washout<'a> {
+    /// A walker over `timeline`, whose budget scales with the `covered`
+    /// injection times.
+    pub(crate) fn new(model: &'a Model, timeline: &'a [usize], covered: usize) -> Washout<'a> {
+        let words = model.locations().len().div_ceil(64);
+        let masks = model
+            .nodes()
+            .iter()
+            .map(|node| {
+                let (stable, unstable): (Vec<usize>, Vec<usize>) = node
+                    .writes
+                    .iter()
+                    .copied()
+                    .partition(|&w| model.is_path_determined(w));
+                NodeMasks {
+                    reads: mask_of(&node.reads, words),
+                    barriers: mask_of(&node.barriers, words),
+                    writes: mask_of(&node.writes, words),
+                    writes_unstable: mask_of(&unstable, words),
+                    writes_stable: mask_of(&stable, words),
                 }
-            };
-            touch_at[t] = touch;
-        }
-
-        let mut windows: Vec<(u64, u64, u64)> = Vec::new();
-        let mut t = 0usize;
-        while t < covered {
-            let Some(u) = touch_at[t] else {
-                t += 1;
-                continue;
-            };
-            // The group of times sharing first touch `u` is contiguous
-            // and ends at `u` (clipped to the covered prefix).
-            let end = u.min(covered - 1);
-            let node = &model.nodes()[timeline[u]];
-            let died = if !node.reads.contains(&l) {
-                // Pure write: the fault dies the moment the touch runs.
-                Some(u as u64)
-            } else if node.barriers.contains(&l) {
-                None
-            } else {
-                walk(model, &masks, timeline, l, u, &mut budget)
-            };
-            if let Some(died) = died {
-                windows.push((t as u64, end as u64, died));
-            }
-            t = end + 1;
-        }
-        if !windows.is_empty() {
-            washout.insert(name.clone(), windows);
+            })
+            .collect();
+        Washout {
+            model,
+            timeline,
+            masks,
+            budget: (covered * 64).max(WALK_BUDGET_FLOOR),
         }
     }
-    washout
+
+    /// The step after which corruption of location `l` has left the
+    /// state, for faults whose first touch is the read at timeline step
+    /// `touch`; `None` when that read is a barrier or the walk meets a
+    /// hazard. Callers walk in (location, time) order, so the shared
+    /// budget runs out at the same walk on every run.
+    pub(crate) fn died_by(&mut self, l: usize, touch: usize) -> Option<u64> {
+        let node = &self.model.nodes()[self.timeline[touch]];
+        if node.barriers.contains(&l) {
+            return None;
+        }
+        walk(
+            self.model,
+            &self.masks,
+            self.timeline,
+            l,
+            touch,
+            &mut self.budget,
+        )
+    }
 }

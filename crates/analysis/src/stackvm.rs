@@ -13,11 +13,12 @@
 use crate::model::{Model, Node, NodeKind};
 use goofi_core::{mem_loc_name, StaticAnalysis};
 use goofi_stackvm::{Op, StackVm, VmEvent, VmLoc};
+use goofi_telemetry::names;
 use std::collections::BTreeMap;
 
 /// Abstract-state cap: a program whose state graph exceeds this (deep
-/// data-dependent recursion) is not statically analyzable; callers fall
-/// back to trace-based pruning.
+/// data-dependent recursion) is not statically analyzable; the runner
+/// then runs the campaign unpruned.
 const STATE_CAP: usize = 1 << 14;
 
 /// Replay cap, mirroring the Thor frontend.
@@ -179,17 +180,21 @@ fn build_model(
 /// `data_base` is the byte address the adapter maps data word 0 to (its
 /// `MEM[..]` naming origin). Returns `None` when the abstract state graph
 /// is too large to analyze — the caller should report "unsupported" and
-/// let the runner fall back to trace-based pruning.
+/// let the runner run the campaign unpruned.
 pub fn analyze_stackvm_program(
     ops: &[Op],
     data_words: usize,
     data_base: u32,
     horizon: u64,
 ) -> Option<StaticAnalysis> {
-    let (model, index) = build_model(ops, data_words, data_base)?;
+    let (model, index) = {
+        let _s = tracing::span(names::ANALYSIS_CFG);
+        build_model(ops, data_words, data_base)?
+    };
 
     // Concrete replay on a scratch VM: only the (pc, sp, call stack)
     // evolution is observed — no read/write trace is recorded.
+    let replay = tracing::span(names::ANALYSIS_REPLAY);
     let mut vm = StackVm::new(data_words);
     vm.load(ops);
     let mut timeline = Vec::new();
@@ -211,6 +216,7 @@ pub fn analyze_stackvm_program(
             Err(_) => break, // EDM trap ends the timeline
         }
     }
+    drop(replay);
 
     Some(model.analyze(&timeline, horizon))
 }

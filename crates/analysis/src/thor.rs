@@ -7,10 +7,11 @@
 //! analyses cannot disagree about what an instruction touches. Memory
 //! operands have dynamic effective addresses, so `MEM[..]` locations are
 //! deliberately *not* modelled: memory faults are never statically
-//! pruned (conservative; the trace-based analysis handles them).
+//! pruned (conservative: those experiments execute).
 
 use crate::model::{Model, Node, NodeKind};
 use goofi_core::StaticAnalysis;
+use goofi_telemetry::names;
 use std::collections::BTreeMap;
 use thor_rd::{Instr, MachineConfig, Program, TestCard};
 
@@ -189,8 +190,12 @@ fn analyze_thor_program_uncached(
     config: MachineConfig,
     horizon: u64,
 ) -> StaticAnalysis {
-    let (model, index) = build_model(program, &config);
+    let (model, index) = {
+        let _s = tracing::span(names::ANALYSIS_CFG);
+        build_model(program, &config)
+    };
 
+    let replay = tracing::span(names::ANALYSIS_REPLAY);
     let mut card = TestCard::new(config);
     card.init();
     let mut timeline = Vec::new();
@@ -209,6 +214,7 @@ fn analyze_thor_program_uncached(
             }
         }
     }
+    drop(replay);
 
     model.analyze(&timeline, horizon)
 }

@@ -1,17 +1,17 @@
 //! Experiment E11: static vs. trace-based fault-list pruning.
 //!
-//! E3 showed how much of a campaign the *trace-based* pre-injection
-//! analysis removes — at the price of one fully instrumented reference
-//! run that records every read and write. E11 asks how close the static
-//! analyzer (CFG + def/use suffix walk over a pc-only replay, the
-//! `goofi-analysis` crate) gets with no reference trace at all:
+//! Campaigns prune with the static analyzer (CFG + def/use first-touch
+//! walk over a pc-only replay, the `goofi-analysis` crate), which needs
+//! no reference trace. E11 checks it against the trace-based liveness
+//! oracle, which records every read and write of one fully instrumented
+//! reference run:
 //!
 //! 1. pruning rate, static vs. trace, on the E3 rows (sort16 whole
 //!    chain, R1, R6, R7) with the injection window clamped to the
 //!    workload's execution — past the halt nothing is prunable by any
 //!    sound analysis, so the unclamped window only dilutes both columns;
 //! 2. fault equivalence classes among the statically pruned faults;
-//! 3. end-to-end campaign wall time with pruning off / trace / static.
+//! 3. end-to-end campaign wall time with pruning off / static.
 //!
 //! The run asserts the PR's acceptance gate — static pruning removes at
 //! least 20% of the combined fault list — and writes `BENCH_e11.json`
@@ -32,7 +32,7 @@ fn run_once(window_end: u64, pruning: Pruning) -> (Duration, usize) {
     let mut campaign = scifi_campaign_windowed("e11-wall", WORKLOAD, EXPERIMENTS, 0, window_end);
     campaign.pre_injection_analysis = true;
     // Best of three: one-shot campaign walls on a busy host are noisy
-    // enough to invert the off/trace/static ordering run to run.
+    // enough to invert the off/static ordering run to run.
     let mut best: Option<(Duration, usize)> = None;
     for _ in 0..3 {
         let mut target = thor_target(WORKLOAD);
@@ -117,10 +117,8 @@ fn bench(c: &mut Criterion) {
 
     // End-to-end wall time per pruning mode.
     let (off_wall, off_pruned) = run_once(window, Pruning::Off);
-    let (trace_wall, trace_pruned_run) = run_once(window, Pruning::Trace);
     let (static_wall, static_pruned_run) = run_once(window, Pruning::Static);
     println!("wall  off:    {off_wall:>10.3?}  ({off_pruned} pruned)");
-    println!("wall  trace:  {trace_wall:>10.3?}  ({trace_pruned_run} pruned)");
     println!("wall  static: {static_wall:>10.3?}  ({static_pruned_run} pruned)");
 
     let mut out = String::from("{\n");
@@ -147,9 +145,8 @@ fn bench(c: &mut Criterion) {
         analysis.classes.len()
     ));
     out.push_str(&format!(
-        "  \"wall_off_s\": {:.6},\n  \"wall_trace_s\": {:.6},\n  \"wall_static_s\": {:.6}\n}}\n",
+        "  \"wall_off_s\": {:.6},\n  \"wall_static_s\": {:.6}\n}}\n",
         off_wall.as_secs_f64(),
-        trace_wall.as_secs_f64(),
         static_wall.as_secs_f64()
     ));
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_e11.json");
@@ -171,7 +168,6 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     for (name, pruning) in [
         ("campaign_off", Pruning::Off),
-        ("campaign_trace", Pruning::Trace),
         ("campaign_static", Pruning::Static),
     ] {
         let mut campaign = scifi_campaign_windowed("e11-b", WORKLOAD, 100, 0, window);

@@ -23,6 +23,8 @@
 //! drive it remotely through [`RemoteService`]. One event renderer
 //! ([`CliSink`]) and one summary formatter serve them all.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 mod args;
 
 use args::{parse, ParsedArgs};
@@ -50,15 +52,15 @@ USAGE:
                   [--experiments N] [--window START:END] [--seed N]
                   [--detail] [--preinject]
   goofi run       --db FILE --campaign NAME [--workers N] [--no-checkpoint]
-                  [--telemetry off|metrics|trace] [--pruning off|trace|static]
+                  [--telemetry off|metrics|trace] [--pruning off|campaign|static]
                   [--class-exec] [--predict]
   goofi resume    --db FILE --campaign NAME [--workers N] [--no-checkpoint]
-                  [--telemetry off|metrics|trace] [--pruning off|trace|static]
+                  [--telemetry off|metrics|trace] [--pruning off|campaign|static]
                   [--class-exec] [--predict]
   goofi serve     --db FILE [--addr HOST:PORT] [--workers N] [--chunk N]
   goofi submit    --addr HOST:PORT --campaign NAME [--resume]
                   [--no-checkpoint] [--telemetry off|metrics|trace]
-                  [--pruning off|trace|static] [--class-exec] [--predict]
+                  [--pruning off|campaign|static] [--class-exec] [--predict]
                   [--watch]
   goofi watch     --addr HOST:PORT --job ID
   goofi attach    --addr HOST:PORT --job ID
@@ -732,8 +734,8 @@ fn cmd_report(p: &ParsedArgs) -> Result<String, String> {
         "\ndependability (duplex, lambda={lambda}/h, mission={mission}h):\n  R(t) = {pt:.6} [{lo:.6}, {hi:.6}] from the coverage CI\n"
     ));
 
-    // Static pre-injection analysis, when the campaign ran with
-    // `--pruning static` or `--class-exec`: kept/pruned per location
+    // Static pre-injection analysis, when the campaign was pruned or ran
+    // with `--class-exec`: kept/pruned per location
     // class (re-deriving the runner's verdict from the persisted dead
     // windows) and the fault equivalence classes with their
     // multiplicities — dead classes collapse to the reference outcome,
@@ -1206,7 +1208,7 @@ mod tests {
     }
 
     #[test]
-    fn static_pruning_run_matches_trace_classification_and_reports() {
+    fn static_pruning_run_matches_unpruned_classification_and_reports() {
         let setup = |db: &str| {
             call(&[
                 "configure",
@@ -1256,50 +1258,61 @@ mod tests {
             .expect("run reports a pruned count");
         assert!(pruned > 0, "static pruning found nothing on sort8: {out}");
 
-        // Same campaign with trace pruning classifies identically.
-        let db_trace = tmpdb("prune_trace.json");
-        setup(&db_trace);
-        let trace_out = call(&[
+        // The campaign asks for pre-injection analysis, so the default
+        // mode prunes it exactly as `--pruning static` does.
+        let db_default = tmpdb("prune_default.json");
+        setup(&db_default);
+        let default_out = call(&["run", "--db", &db_default, "--campaign", "cs"]).unwrap();
+        assert_eq!(default_out, out);
+
+        // Unpruned, the same campaign classifies identically.
+        let db_off = tmpdb("prune_off.json");
+        setup(&db_off);
+        let off_out = call(&[
             "run",
             "--db",
-            &db_trace,
+            &db_off,
             "--campaign",
             "cs",
             "--pruning",
-            "trace",
+            "off",
         ])
         .unwrap();
         let classification = |s: &str| {
             s.lines()
                 .filter(|l| !l.contains("pruned by"))
-                .map(String::from)
+                .map(|l| l.split("  (of which").next().unwrap_or(l).to_owned())
                 .collect::<Vec<_>>()
         };
-        assert_eq!(classification(&out), classification(&trace_out));
+        assert_eq!(classification(&out), classification(&off_out));
 
         // The report surfaces the persisted analysis.
         let report = call(&["report", "--db", &db_static, "--campaign", "cs"]).unwrap();
         assert!(report.contains("static pre-injection analysis"), "{report}");
         assert!(report.contains("kept  pruned"), "{report}");
         assert!(report.contains("equivalence classes"), "{report}");
-        // A trace-pruned campaign stores no static analysis.
-        let report = call(&["report", "--db", &db_trace, "--campaign", "cs"]).unwrap();
+        // An unpruned campaign stores no static analysis.
+        let report = call(&["report", "--db", &db_off, "--campaign", "cs"]).unwrap();
         assert!(
             !report.contains("static pre-injection analysis"),
             "{report}"
         );
-        // Bad mode is rejected with the option named.
-        let err = call(&[
-            "run",
-            "--db",
-            &db_static,
-            "--campaign",
-            "cs",
-            "--pruning",
-            "psychic",
-        ])
-        .unwrap_err();
-        assert!(err.contains("--pruning"), "{err}");
+        // Bad modes are rejected with the option and the accepted values
+        // named; trace-based pruning is gone.
+        for mode in ["psychic", "trace"] {
+            let err = call(&[
+                "run",
+                "--db",
+                &db_static,
+                "--campaign",
+                "cs",
+                "--pruning",
+                mode,
+            ])
+            .unwrap_err();
+            assert!(err.contains("--pruning"), "{err}");
+            assert!(err.contains("off, campaign or static"), "{err}");
+        }
     }
 
     #[test]
@@ -1362,7 +1375,8 @@ mod tests {
         assert!(pruned > 0, "class-exec run pruned nothing: {classed}");
         // Classification is identical with class execution on, modulo
         // the pruned-count annotations: `--class-exec` defaults to
-        // static pruning, the plain run to (inactive) trace pruning.
+        // static pruning, while the plain run is unpruned (its campaign
+        // does not ask for pre-injection analysis).
         let classification = |s: &str| {
             s.lines()
                 .filter(|l| !l.starts_with("class execution:") && !l.starts_with("pruned by"))
@@ -1738,7 +1752,7 @@ mod tests {
             "cp",
             "--predict",
             "--pruning",
-            "trace",
+            "campaign",
         ])
         .unwrap_err();
         assert!(err.contains("--predict"), "{err}");

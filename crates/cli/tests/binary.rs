@@ -256,9 +256,9 @@ fn whole_campaign_through_the_binary() {
 /// The same campaign run with 1, 2 and 4 workers must leave byte-identical
 /// DBs (the runner's reorder buffer streams rows in fault-list order no
 /// matter how the scheduler interleaves), in every pruning mode. Across
-/// modes, trace and static pruning agree experiment-by-experiment on
-/// sort8, so their DBs differ only by the persisted static-analysis row;
-/// pruning off differs from trace only on the experiments trace pruned.
+/// modes, the campaign asks for pre-injection analysis, so the default
+/// `campaign` mode prunes it exactly as `static` does, byte for byte;
+/// pruning off differs from them only on the experiments they pruned.
 #[test]
 fn pruning_runs_are_deterministic_across_workers_and_modes() {
     use goofi_core::GoofiStore;
@@ -295,7 +295,7 @@ fn pruning_runs_are_deterministic_across_workers_and_modes() {
 
     let mut final_db: Vec<Vec<u8>> = Vec::new();
     let mut pruned_counts: Vec<usize> = Vec::new();
-    for mode in ["off", "trace", "static"] {
+    for mode in ["off", "campaign", "static"] {
         let mut variants: Vec<Vec<u8>> = Vec::new();
         for workers in ["1", "2", "4"] {
             let db = tmpdb(&format!("bin-det-{mode}-{workers}.json"));
@@ -329,13 +329,16 @@ fn pruning_runs_are_deterministic_across_workers_and_modes() {
         );
         final_db.push(variants.pop().unwrap());
     }
-    assert!(pruned_counts[1] > 0, "trace pruning found nothing on sort8");
+    assert!(
+        pruned_counts[1] > 0,
+        "campaign pruning found nothing on sort8"
+    );
     assert_eq!(
-        pruned_counts[1], pruned_counts[2],
-        "trace and static prune different counts on sort8"
+        final_db[1], final_db[2],
+        "campaign mode on a flagged campaign differs from static pruning"
     );
 
-    // off vs trace: the per-experiment rows may differ only where trace
+    // off vs campaign: the per-experiment rows may differ only where
     // pruning substituted the reference outcome.
     let rows = |bytes: &[u8], name: &str| {
         let path = tmpdb(name);
@@ -346,40 +349,17 @@ fn pruning_runs_are_deterministic_across_workers_and_modes() {
             .unwrap()
     };
     let off_rows = rows(&final_db[0], "bin-det-rows-off.json");
-    let trace_rows = rows(&final_db[1], "bin-det-rows-trace.json");
-    assert_eq!(off_rows.len(), trace_rows.len());
+    let pruned_rows = rows(&final_db[1], "bin-det-rows-campaign.json");
+    assert_eq!(off_rows.len(), pruned_rows.len());
     let differing = off_rows
         .iter()
-        .zip(&trace_rows)
+        .zip(&pruned_rows)
         .filter(|(a, b)| a != b)
         .count();
     assert!(
         differing <= pruned_counts[1],
         "{differing} rows changed but only {} were pruned",
         pruned_counts[1]
-    );
-
-    // trace vs static: byte-identical once the static-analysis row (the
-    // one legitimate difference) is cleared from both.
-    assert_ne!(
-        final_db[1], final_db[2],
-        "static DB should carry the analysis row"
-    );
-    let normalize = |bytes: &[u8], name: &str| {
-        let path = tmpdb(name);
-        std::fs::write(&path, bytes).unwrap();
-        let mut store = GoofiStore::load(&path).unwrap();
-        store.clear_static_analysis("cd").unwrap();
-        // Saving to another path writes a compact copy (saving in place
-        // would checkpoint, keeping the cleared row's tombstone).
-        let copy = tmpdb(&format!("{name}.copy"));
-        store.save(&copy).unwrap();
-        std::fs::read(&copy).unwrap()
-    };
-    assert_eq!(
-        normalize(&final_db[1], "bin-det-norm-trace.json"),
-        normalize(&final_db[2], "bin-det-norm-static.json"),
-        "trace and static DBs differ beyond the static-analysis row"
     );
 }
 

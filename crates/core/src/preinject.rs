@@ -7,6 +7,12 @@
 //! once and answers, for any `(location, time)` pair, whether the first
 //! subsequent use of the location is a read (fault may propagate: *live*)
 //! or a write (fault is dead: provably **Overwritten**).
+//!
+//! The runner does not prune with it: campaigns prune with the static
+//! analysis ([`crate::staticanalysis`]), which needs no reference trace.
+//! This trace-based analysis is the oracle the static one is checked
+//! against — every statically dead `(location, time)` must be dead here
+//! too (experiments E3/E11 and the soundness tests).
 
 use crate::fault::PlannedFault;
 use crate::target::{TargetSystemConfig, TraceStep};
@@ -105,16 +111,6 @@ impl LivenessAnalysis {
                 Some(name) => fault.times.iter().all(|&t| self.is_dead(&name, t)),
             }
         })
-    }
-
-    /// Splits a fault list into `(kept, pruned)` — the efficiency
-    /// improvement measured in experiment E3.
-    pub fn prune_fault_list(
-        &self,
-        config: &TargetSystemConfig,
-        faults: Vec<PlannedFault>,
-    ) -> (Vec<PlannedFault>, Vec<PlannedFault>) {
-        faults.into_iter().partition(|f| !self.can_prune(config, f))
     }
 }
 
@@ -227,17 +223,6 @@ mod tests {
         // Multi-activation: any live activation keeps the experiment.
         assert!(!a.can_prune(&cfg, &fault(5, vec![1, 3])));
         assert!(a.can_prune(&cfg, &fault(5, vec![3, 4])));
-    }
-
-    #[test]
-    fn prune_fault_list_partitions() {
-        let a = analysis();
-        let cfg = config();
-        let faults = vec![fault(5, vec![3]), fault(5, vec![1]), fault(40, vec![3])];
-        let (kept, pruned) = a.prune_fault_list(&cfg, faults);
-        assert_eq!(pruned.len(), 1);
-        // fault on R2 bit 40: R2 written at 1, never read -> Never, kept.
-        assert_eq!(kept.len(), 2);
     }
 
     #[test]

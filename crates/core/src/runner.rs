@@ -39,7 +39,6 @@ use crate::campaign::{Campaign, LogMode, Technique};
 use crate::checkpoint::{run_experiment_checkpointed, CheckpointPlan};
 use crate::error::{GoofiError, Result};
 use crate::fault::{generate_fault_list, PlannedFault, TriggerPolicy};
-use crate::preinject::LivenessAnalysis;
 use crate::progress::{Command, Controller, ProgressEvent};
 use crate::rowcodec;
 use crate::service::{ClassSavings, JobSummary};
@@ -76,14 +75,14 @@ pub struct RunOptions {
     /// How much telemetry to record. Defaults to [`TelemetryMode::Off`],
     /// which costs one thread-local read per instrumentation site.
     pub telemetry: TelemetryMode,
-    /// How experiments are pruned before injection. Defaults to
-    /// [`Pruning::Trace`], which honours the campaign's
-    /// `pre_injection_analysis` flag with trace-based liveness.
-    /// [`Pruning::Static`] prunes from the workload binary alone (no
-    /// reference trace), falling back to no pruning on targets without a
-    /// static analyzer. Pruned experiments synthesise the reference
-    /// outcome either way, so logged rows are identical across modes for
-    /// experiments that actually run.
+    /// Whether experiments are pruned before injection. Defaults to
+    /// [`Pruning::Campaign`], which prunes when the campaign's
+    /// `pre_injection_analysis` flag is set; [`Pruning::Static`] always
+    /// prunes and [`Pruning::Off`] never does. Pruning is static: it
+    /// needs no reference trace, and targets without a static analyzer
+    /// run unpruned. Pruned experiments synthesise the reference outcome,
+    /// so logged rows are identical across modes for experiments that
+    /// actually run.
     pub pruning: Pruning,
     /// Execute one representative experiment per fault equivalence class
     /// and synthesise the remaining class members' rows from it. Classes
@@ -97,9 +96,9 @@ pub struct RunOptions {
     /// Synthesise the rows of faults whose verdict the propagation
     /// analysis proved predictable (the corruption activates but washes
     /// out of the architectural state, so the outcome equals the
-    /// reference) instead of executing them. Requires
-    /// [`Pruning::Static`] on a target with a static analyzer (silently
-    /// falls back to executing otherwise) and only applies to
+    /// reference) instead of executing them. Requires pruning in effect
+    /// (see [`RunOptions::pruning`]) on a target with a static analyzer
+    /// (silently falls back to executing otherwise) and only applies to
     /// scan-chain/runtime-SWIFI campaigns in normal log mode — the same
     /// envelope as class execution. Logged rows are byte-identical with
     /// the knob on or off. Defaults to `false`.
@@ -111,7 +110,7 @@ impl Default for RunOptions {
         RunOptions {
             checkpoint: true,
             telemetry: TelemetryMode::Off,
-            pruning: Pruning::Trace,
+            pruning: Pruning::Campaign,
             class_execution: false,
             prediction: false,
         }
@@ -119,8 +118,8 @@ impl Default for RunOptions {
 }
 
 impl RunOptions {
-    /// The default options: checkpointing on, telemetry off, trace-based
-    /// pruning.
+    /// The default options: checkpointing on, telemetry off, pruning as
+    /// the campaign asks.
     pub fn new() -> RunOptions {
         RunOptions::default()
     }
@@ -172,8 +171,8 @@ pub struct CampaignResult {
     /// (also persisted to the `CampaignTelemetry` table when a store was
     /// attached).
     pub telemetry: Option<CampaignTelemetry>,
-    /// The static workload analysis, when the campaign ran with
-    /// [`Pruning::Static`] on a target that supports it (also persisted
+    /// The static workload analysis, when the campaign was pruned or ran
+    /// with class execution on a target that supports it (also persisted
     /// to the `StaticAnalysisData` table when a store was attached).
     pub static_analysis: Option<StaticAnalysis>,
 }
@@ -573,28 +572,6 @@ fn fanned_run(representative: &ExperimentRun, fault: &PlannedFault) -> Experimen
     }
 }
 
-/// How the campaign's prunability decisions are made, resolved once in
-/// [`prepare`] from [`RunOptions::pruning`] and the campaign flags.
-enum PruneInfo {
-    /// No pruning (mode off, campaign opted out, or static analysis
-    /// unsupported by the target).
-    None,
-    /// Trace-based liveness over the reference detail trace.
-    Trace(LivenessAnalysis),
-    /// Static analysis of the workload binary — no reference trace.
-    Static(StaticAnalysis),
-}
-
-impl PruneInfo {
-    fn can_prune(&self, config: &TargetSystemConfig, fault: &PlannedFault) -> bool {
-        match self {
-            PruneInfo::None => false,
-            PruneInfo::Trace(liveness) => liveness.can_prune(config, fault),
-            PruneInfo::Static(analysis) => analysis.can_prune(config, fault),
-        }
-    }
-}
-
 /// What the planner decided for one fault. Precedence, highest first:
 /// logged > pruned > predicted > proxied > execute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -605,7 +582,7 @@ pub enum Decision {
     /// reference: the row is synthesised from the reference.
     Pruned,
     /// The propagation analysis proved the fault washes out (only under
-    /// [`RunOptions::prediction`] with static pruning): the row is
+    /// [`RunOptions::prediction`] with pruning in effect): the row is
     /// synthesised from the reference.
     Predicted,
     /// An equivalence-class member: the row is synthesised from the run
@@ -712,36 +689,20 @@ fn plan(
     options: &RunOptions,
     resume: Option<&GoofiStore>,
 ) -> Result<CampaignPlan> {
-    let (faults, prune, class_analysis) = prepare(target, campaign, options)?;
+    let (faults, mut static_analysis, prune) = prepare(target, campaign, options)?;
     let config = target.describe();
-    let predictor = match &prune {
-        PruneInfo::Static(analysis) if options.prediction && synthesis_envelope(campaign) => {
-            Some(analysis)
-        }
-        _ => None,
-    };
+    let predict = prune && options.prediction && synthesis_envelope(campaign);
     let mut decisions: Vec<Decision> = faults
         .iter()
-        .map(|f| {
-            if prune.can_prune(&config, f) {
-                Decision::Pruned
-            } else if predictor.is_some_and(|a| a.can_predict(&config, f)) {
-                Decision::Predicted
-            } else {
-                Decision::Execute
-            }
+        .map(|f| match &static_analysis {
+            Some(a) if prune && a.can_prune(&config, f) => Decision::Pruned,
+            Some(a) if predict && a.can_predict(&config, f) => Decision::Predicted,
+            _ => Decision::Execute,
         })
         .collect();
-    let static_analysis = match class_analysis {
-        Some(mut analysis) => {
-            group_classes(&mut analysis, campaign, &config, &faults, &mut decisions);
-            Some(analysis)
-        }
-        None => match prune {
-            PruneInfo::Static(analysis) => Some(analysis),
-            _ => None,
-        },
-    };
+    if let (Some(analysis), true) = (&mut static_analysis, options.class_execution) {
+        group_classes(analysis, campaign, &config, &faults, &mut decisions);
+    }
 
     let mut stored = Vec::new();
     let mut reference = None;
@@ -757,11 +718,6 @@ fn plan(
         stored = (0..faults.len())
             .map(|i| take(logged_experiment_name(&campaign.name, i)))
             .collect();
-        for (decision, run) in decisions.iter_mut().zip(&stored) {
-            if run.is_some() {
-                *decision = Decision::Logged;
-            }
-        }
         reference = take(reference_experiment_name(&campaign.name));
     }
     let log_reference = reference.is_none();
@@ -772,6 +728,17 @@ fn plan(
             reference_run(target, campaign)?
         }
     };
+    // A stored row is reused, never re-logged. A stored pruned or
+    // predicted row stands for the run its decision synthesises, so a
+    // resumed campaign tallies exactly like an uninterrupted one.
+    for ((decision, run), fault) in decisions.iter_mut().zip(&mut stored).zip(&faults) {
+        if let Some(run) = run {
+            if let Some(decided) = decision.synthesise(&reference, fault) {
+                *run = decided;
+            }
+            *decision = Decision::Logged;
+        }
+    }
 
     // Only executed experiments contribute checkpoint snapshot times.
     let checkpoints = if options.checkpoint {
@@ -808,6 +775,7 @@ fn group_classes(
     faults: &[PlannedFault],
     decisions: &mut [Decision],
 ) {
+    let _s = tracing::span(names::PHASE_CLASS_GROUPING);
     let envelope = synthesis_envelope(campaign);
     let eligible: Vec<bool> = decisions
         .iter()
@@ -910,24 +878,21 @@ impl CampaignPlan {
     }
 }
 
-/// Prepares the shared campaign inputs: reference trace (when needed),
-/// fault list, the pruning decision source, and — when
-/// [`RunOptions::class_execution`] is on and the target has a static
-/// analyzer — the analysis that will carry the execution classes.
+/// Prepares the shared campaign inputs: the fault list (with the
+/// reference trace only when triggers place it), whether the campaign is
+/// pruned, and — when pruning or class execution needs it and the target
+/// has a static analyzer — the one static analysis every pruned,
+/// predicted and proxied decision comes from. A pruned campaign's
+/// analysis carries the dead classes of its fault list.
 fn prepare(
     target: &mut dyn TargetSystemInterface,
     campaign: &Campaign,
     options: &RunOptions,
-) -> Result<(Vec<PlannedFault>, PruneInfo, Option<StaticAnalysis>)> {
+) -> Result<(Vec<PlannedFault>, Option<StaticAnalysis>, bool)> {
     let _s = tracing::span(names::PHASE_PREPARE);
     campaign.validate()?;
     let config = target.describe();
-    let trace_pruning = campaign.pre_injection_analysis && options.pruning == Pruning::Trace;
-    // The reference trace is only collected when something needs it:
-    // trace-based pruning, or trigger placement. Static pruning
-    // deliberately does without it.
-    let needs_trace = trace_pruning || matches!(campaign.trigger, TriggerPolicy::Triggers(_));
-    let trace = if needs_trace {
+    let trace = if matches!(campaign.trigger, TriggerPolicy::Triggers(_)) {
         target.init_test_card()?;
         target.load_workload()?;
         Some(target.collect_trace()?)
@@ -943,45 +908,28 @@ fn prepare(
         campaign.seed,
         trace.as_deref(),
     )?;
+    let prune = options.pruning.prunes(campaign.pre_injection_analysis);
+    if !prune && !options.class_execution {
+        return Ok((faults, None, false));
+    }
     let horizon = faults
         .iter()
         .flat_map(|f| f.times.iter().copied())
         .max()
         .unwrap_or(0);
-    let prune = match options.pruning {
-        Pruning::Off => PruneInfo::None,
-        Pruning::Trace if trace_pruning => PruneInfo::Trace(LivenessAnalysis::from_trace(
-            trace.as_deref().expect("trace collected above"),
-        )),
-        Pruning::Trace => PruneInfo::None,
-        Pruning::Static => match target.static_analysis(horizon) {
-            Ok(mut analysis) => {
+    match target.static_analysis(horizon) {
+        Ok(mut analysis) => {
+            if prune {
                 analysis.compute_classes(&config, &faults);
-                PruneInfo::Static(analysis)
             }
-            // Same fallback idiom as the checkpoint cache: a target
-            // without a static analyzer runs the campaign unpruned.
-            Err(GoofiError::Unsupported { .. }) => PruneInfo::None,
-            Err(e) => return Err(e),
-        },
-    };
-    let class_analysis = if !options.class_execution {
-        None
-    } else if let PruneInfo::Static(analysis) = &prune {
-        // Static pruning already computed the analysis; classes are
-        // grouped on a copy so the persisted row carries both the dead
-        // classes and the live execution classes.
-        Some(analysis.clone())
-    } else {
-        match target.static_analysis(horizon) {
-            Ok(analysis) => Some(analysis),
-            // Same fallback as above: no analyzer, no classes — every
-            // experiment executes directly.
-            Err(GoofiError::Unsupported { .. }) => None,
-            Err(e) => return Err(e),
+            Ok((faults, Some(analysis), prune))
         }
-    };
-    Ok((faults, prune, class_analysis))
+        // Same fallback idiom as the checkpoint cache: a target without
+        // a static analyzer runs the campaign unpruned, executing every
+        // experiment directly.
+        Err(GoofiError::Unsupported { .. }) => Ok((faults, None, false)),
+        Err(e) => Err(e),
+    }
 }
 
 // ----------------------------------------------------------------------
@@ -1046,7 +994,7 @@ impl<'a> Sink<'a> {
         }
         let tally = Tally {
             completed: stored.iter().flatten().count(),
-            predicted: 0,
+            predicted: stored.iter().flatten().filter(|r| r.predicted).count(),
             stats: CampaignStats::from_runs(&plan.reference, stored.iter().flatten()),
             runs: keep_runs.then(|| {
                 let mut runs = stored;
@@ -1607,6 +1555,7 @@ mod tests {
     use super::*;
     use crate::campaign::Technique;
     use crate::fault::{FaultModel, LocationSelector};
+    use crate::preinject::LivenessAnalysis;
     use crate::progress::{control_channel, Command};
     use crate::testutil::{Hold, MiniTarget};
 
@@ -1702,6 +1651,20 @@ mod tests {
         let mut t = MiniTarget::new();
         let result = CampaignRunner::new(&mut t, &c).run().unwrap();
         assert_eq!(result.pruned(), 0);
+    }
+
+    #[test]
+    fn mini_target_dead_window_matches_its_trace() {
+        let mut t = MiniTarget::new();
+        let analysis = t.static_analysis(20).unwrap();
+        let liveness = LivenessAnalysis::from_trace(&t.collect_trace().unwrap());
+        for time in 0..=20 {
+            assert_eq!(
+                analysis.is_dead("R0", time),
+                liveness.is_dead("R0", time),
+                "R0 at {time}"
+            );
+        }
     }
 
     #[test]

@@ -55,14 +55,14 @@ pub struct ExecOptions {
     pub checkpoint: bool,
     /// Telemetry recording mode (default off).
     pub telemetry: TelemetryMode,
-    /// Pre-injection pruning mode (default trace-based).
+    /// Pre-injection pruning mode (default: as the campaign asks).
     pub pruning: Pruning,
     /// Equivalence-class execution (default off). Rows are
     /// byte-identical either way.
     pub class_execution: bool,
     /// Static verdict prediction: synthesise the rows of faults the
     /// propagation analysis proved wash out (default off; requires
-    /// static pruning). Rows are byte-identical either way. Defaults via
+    /// pruning in effect). Rows are byte-identical either way. Defaults via
     /// serde so pre-existing wire peers interoperate.
     #[serde(default)]
     pub prediction: bool,
@@ -83,7 +83,7 @@ impl Default for ExecOptions {
 
 impl ExecOptions {
     /// The default options (one worker, checkpointing on, telemetry off,
-    /// trace pruning, class execution off).
+    /// pruning as the campaign asks, class execution off).
     pub fn new() -> ExecOptions {
         ExecOptions::default()
     }

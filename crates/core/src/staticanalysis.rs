@@ -1,48 +1,63 @@
-//! Static pre-injection analysis results — the trace-free counterpart of
-//! [`crate::preinject`].
+//! Static pre-injection analysis results — the runner's one decision
+//! engine.
 //!
-//! The dynamic [`LivenessAnalysis`](crate::preinject::LivenessAnalysis)
-//! needs a full reference detail trace (every read and write of every
-//! location) before it can prune anything. The static analyzer (the
-//! `goofi-analysis` crate) instead builds a control-flow graph over the
-//! workload binary with per-instruction def/use sets decoded from the
-//! ISA, replays the workload observing only the program counter, and
-//! produces this [`StaticAnalysis`] summary: per-location windows of
-//! injection times whose value is provably overwritten before any read,
-//! workload lints, and fault equivalence classes. The result is
-//! conservative by construction — any fault it prunes is also pruned by
-//! the trace-based analysis — and it is target-agnostic, so it lives
-//! here in `goofi-core` next to the fault list and runner that consume
-//! it.
+//! The static analyzer (the `goofi-analysis` crate) builds a
+//! control-flow graph over the workload binary with per-instruction
+//! def/use sets decoded from the ISA, replays the workload observing only
+//! the program counter, and produces this [`StaticAnalysis`] summary:
+//! per-location windows of injection times whose value is provably
+//! overwritten before any read (dead), left untouched (equivalence) or
+//! washed out of the architectural state (washout), workload lints, and
+//! fault equivalence classes. Every pruned, predicted and proxied
+//! experiment is decided from it; no reference detail trace is needed.
+//! The result is conservative by construction — any fault it prunes is
+//! also dead under the trace-based
+//! [`LivenessAnalysis`](crate::preinject::LivenessAnalysis) oracle — and
+//! it is target-agnostic, so it lives here in `goofi-core` next to the
+//! fault list and runner that consume it.
 
 use crate::fault::{FaultModel, Location, PlannedFault};
 use crate::target::TargetSystemConfig;
 use serde::{Deserialize, Serialize};
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-/// How the runner decides which experiments to skip before injection.
+/// Whether the runner prunes experiments before injection. Pruning is
+/// always static: a fault is skipped when the workload's static analysis
+/// proves every activation lands in a dead window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum Pruning {
     /// Never prune, even when the campaign asks for pre-injection
     /// analysis.
     Off,
-    /// Trace-based liveness (the default): honour the campaign's
-    /// `pre_injection_analysis` flag using the reference detail trace.
+    /// Honour the campaign's `pre_injection_analysis` flag (the
+    /// default): prune statically when it is set.
     #[default]
-    Trace,
-    /// Static analysis: prune from the workload binary alone, with no
-    /// reference trace required. Targets without a static analyzer
-    /// silently fall back to no pruning.
+    Campaign,
+    /// Always prune statically, whatever the campaign asks.
     Static,
+}
+
+impl Pruning {
+    /// Whether a campaign with `pre_injection_analysis` set as given is
+    /// pruned under this mode. Targets without a static analyzer run
+    /// unpruned in every mode.
+    pub fn prunes(self, pre_injection_analysis: bool) -> bool {
+        match self {
+            Pruning::Off => false,
+            Pruning::Campaign => pre_injection_analysis,
+            Pruning::Static => true,
+        }
+    }
 }
 
 impl fmt::Display for Pruning {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
             Pruning::Off => "off",
-            Pruning::Trace => "trace",
+            Pruning::Campaign => "campaign",
             Pruning::Static => "static",
         })
     }
@@ -54,10 +69,10 @@ impl FromStr for Pruning {
     fn from_str(s: &str) -> Result<Pruning, String> {
         match s {
             "off" => Ok(Pruning::Off),
-            "trace" => Ok(Pruning::Trace),
+            "campaign" => Ok(Pruning::Campaign),
             "static" => Ok(Pruning::Static),
             other => Err(format!(
-                "unknown pruning mode `{other}` (expected off, trace or static)"
+                "unknown pruning mode `{other}` (expected off, campaign or static)"
             )),
         }
     }
@@ -167,6 +182,11 @@ pub struct EquivalenceClass {
     /// How the class was proved (and whether it is an execution proxy).
     pub kind: ClassKind,
 }
+
+/// What an execution class groups on: sorted target bits, fault model,
+/// and each target location's equivalence window at the effective time
+/// ([`StaticAnalysis::class_key`]).
+type ClassKey = (Vec<Location>, FaultModel, Vec<(u64, u64)>);
 
 /// The persisted result of static workload analysis.
 ///
@@ -320,29 +340,12 @@ impl StaticAnalysis {
     /// of a multi-location fault is covered by the union of the
     /// per-location walks, so per-target windows compose soundly.
     pub fn can_predict(&self, config: &TargetSystemConfig, fault: &PlannedFault) -> bool {
-        let Some(names) = self.named_targets(config, fault) else {
+        let Some((names, times)) = self.activations(config, fault) else {
             return false;
         };
-        if fault.times.is_empty() {
-            return false;
-        }
-        let mut times = fault.times.clone();
-        times.sort_unstable();
-        times.dedup();
-        for (i, &t) in times.iter().enumerate() {
-            for name in &names {
-                let ok = match times.get(i + 1) {
-                    Some(&tn) => {
-                        self.washed_before(name, t, tn) || self.untouched_between(name, t, tn)
-                    }
-                    None => self.washout_window(name, t).is_some(),
-                };
-                if !ok {
-                    return false;
-                }
-            }
-        }
-        true
+        let last = times[times.len() - 1];
+        self.pairs_hold(&names, &times, true)
+            && names.iter().all(|n| self.washout_window(n, last).is_some())
     }
 
     /// Decides whether all activations *before the last* provably wash
@@ -356,27 +359,37 @@ impl StaticAnalysis {
     /// residue merely confined into the last activation would make the
     /// pre-state differ from the reference.
     pub fn prefix_washed(&self, config: &TargetSystemConfig, fault: &PlannedFault) -> bool {
-        let Some(names) = self.named_targets(config, fault) else {
-            return false;
-        };
+        self.activations(config, fault)
+            .is_some_and(|(names, times)| self.pairs_hold(&names, &times, false))
+    }
+
+    /// A fault's resolved target names ([`StaticAnalysis::named_targets`])
+    /// and its activation times, sorted and deduplicated; `None` when a
+    /// target is unmodeled or the fault never activates.
+    fn activations(
+        &self,
+        config: &TargetSystemConfig,
+        fault: &PlannedFault,
+    ) -> Option<(Vec<String>, Vec<u64>)> {
+        let names = self.named_targets(config, fault)?;
         let mut times = fault.times.clone();
         times.sort_unstable();
         times.dedup();
-        let Some((&_last, prefix)) = times.split_last() else {
-            return false;
-        };
-        for (i, &t) in prefix.iter().enumerate() {
-            let tn = times[i + 1];
-            let final_pair = i + 1 == times.len() - 1;
-            for name in &names {
-                let washed = self.washed_before(name, t, tn);
-                let ok = washed || (!final_pair && self.untouched_between(name, t, tn));
-                if !ok {
-                    return false;
-                }
-            }
-        }
-        true
+        (!times.is_empty()).then_some((names, times))
+    }
+
+    /// Whether, for every consecutive activation pair `(t, tn)`, each
+    /// target's corruption from `t` washes out strictly before `tn` or
+    /// stays confined (untouched until `tn`). Confinement counts on the
+    /// final pair only with `confine_last`.
+    fn pairs_hold(&self, names: &[String], times: &[u64], confine_last: bool) -> bool {
+        times.windows(2).enumerate().all(|(i, pair)| {
+            let (t, tn) = (pair[0], pair[1]);
+            let confine = confine_last || i + 2 < times.len();
+            names.iter().all(|name| {
+                self.washed_before(name, t, tn) || (confine && self.untouched_between(name, t, tn))
+            })
+        })
     }
 
     /// All target locations resolved to architectural names (sorted,
@@ -395,6 +408,27 @@ impl StaticAnalysis {
         Some(names)
     }
 
+    /// The key two faults share exactly when executing one yields the
+    /// other's outcome: the sorted target bits, the fault model, and the
+    /// equivalence window of every target location at the fault's
+    /// effective (last) time. `None` when the fault has no such proof: no
+    /// activation, an unwashed prefix ([`StaticAnalysis::prefix_washed`]),
+    /// an unmodeled target, or a time outside every window.
+    fn class_key(&self, config: &TargetSystemConfig, fault: &PlannedFault) -> Option<ClassKey> {
+        let &time = fault.times.iter().max()?;
+        if fault.times.len() > 1 && !self.prefix_washed(config, fault) {
+            return None;
+        }
+        let windows = self
+            .named_targets(config, fault)?
+            .iter()
+            .map(|name| self.equiv_window(name, time))
+            .collect::<Option<Vec<_>>>()?;
+        let mut targets = fault.targets.clone();
+        targets.sort();
+        Some((targets, fault.model, windows))
+    }
+
     /// Decides whether a whole planned fault can be skipped: every target
     /// bit, at every activation time, must map to a named location whose
     /// window is statically dead. Mirrors
@@ -406,15 +440,6 @@ impl StaticAnalysis {
                 Some(name) => fault.times.iter().all(|&t| self.is_dead(&name, t)),
             }
         })
-    }
-
-    /// Splits a fault list into `(kept, pruned)`.
-    pub fn prune_fault_list(
-        &self,
-        config: &TargetSystemConfig,
-        faults: Vec<PlannedFault>,
-    ) -> (Vec<PlannedFault>, Vec<PlannedFault>) {
-        faults.into_iter().partition(|f| !self.can_prune(config, f))
     }
 
     /// Groups the prunable faults of a campaign's fault list into
@@ -429,13 +454,8 @@ impl StaticAnalysis {
             if !self.can_prune(config, fault) {
                 continue;
             }
-            let mut names: Vec<String> = fault
-                .targets
-                .iter()
-                .filter_map(|t| t.architectural_name(config))
-                .collect();
-            names.sort();
-            names.dedup();
+            // A prunable fault's targets are all named.
+            let names = self.named_targets(config, fault).unwrap_or_default();
             let location = names.join(",");
             // All activation times of a prunable fault sit in dead
             // windows; key on the window of the first activation.
@@ -481,61 +501,27 @@ impl StaticAnalysis {
         faults: &[PlannedFault],
         eligible: &[bool],
     ) {
-        type Key = (Vec<Location>, FaultModel, Vec<(u64, u64)>);
         self.eligible_faults = eligible.iter().filter(|&&e| e).count();
         self.singleton_classes = 0;
-        let mut groups: BTreeMap<Key, Vec<usize>> = BTreeMap::new();
+        let mut groups: BTreeMap<ClassKey, Vec<usize>> = BTreeMap::new();
         for (i, fault) in faults.iter().enumerate() {
             if !eligible.get(i).copied().unwrap_or(false) {
                 continue;
             }
-            let Some(&time) = fault.times.iter().max() else {
-                continue;
-            };
-            if fault.times.len() > 1 && !self.prefix_washed(config, fault) {
-                continue;
+            if let Some(key) = self.class_key(config, fault) {
+                groups.entry(key).or_default().push(i);
             }
-            let mut names: Vec<String> = Vec::new();
-            let mut named = true;
-            for target in &fault.targets {
-                match target.architectural_name(config) {
-                    Some(name) => names.push(name),
-                    None => {
-                        named = false;
-                        break;
-                    }
-                }
-            }
-            if !named {
-                continue;
-            }
-            names.sort();
-            names.dedup();
-            let windows: Option<Vec<(u64, u64)>> = names
-                .iter()
-                .map(|name| self.equiv_window(name, time))
-                .collect();
-            let Some(windows) = windows else { continue };
-            let mut targets = fault.targets.clone();
-            targets.sort();
-            groups
-                .entry((targets, fault.model, windows))
-                .or_default()
-                .push(i);
         }
-        for ((targets, _model, windows), members) in groups {
+        for ((_, _, windows), members) in groups {
             // Singleton classes buy nothing (their one member executes
             // anyway) — only multi-member classes are worth recording.
             if members.len() < 2 {
                 self.singleton_classes += 1;
                 continue;
             }
-            let mut names: Vec<String> = targets
-                .iter()
-                .filter_map(|t| t.architectural_name(config))
-                .collect();
-            names.sort();
-            names.dedup();
+            let names = self
+                .named_targets(config, &faults[members[0]])
+                .unwrap_or_default();
             self.classes.push(EquivalenceClass {
                 location: names.join(","),
                 window: windows.first().copied().unwrap_or((0, 0)),
@@ -580,8 +566,7 @@ impl StaticAnalysis {
         faults: &[PlannedFault],
     ) -> Vec<Lint> {
         let mut lints = Vec::new();
-        type DupKey = (Vec<Location>, FaultModel, Vec<(u64, u64)>);
-        let mut seen: BTreeMap<DupKey, usize> = BTreeMap::new();
+        let mut seen: BTreeMap<ClassKey, usize> = BTreeMap::new();
         for (i, fault) in faults.iter().enumerate() {
             if self.can_prune(config, fault) {
                 let names = self
@@ -609,35 +594,19 @@ impl StaticAnalysis {
                     });
                 }
             }
-            let provable = match fault.times[..] {
-                [] => false,
-                [_] => true,
-                _ => self.prefix_washed(config, fault),
-            };
-            if let (true, Some(names)) = (provable, self.named_targets(config, fault)) {
-                let time = *fault.times.iter().max().expect("nonempty times");
-                let windows: Option<Vec<(u64, u64)>> = names
-                    .iter()
-                    .map(|name| self.equiv_window(name, time))
-                    .collect();
-                if let Some(windows) = windows {
-                    let mut targets = fault.targets.clone();
-                    targets.sort();
-                    match seen.entry((targets, fault.model, windows)) {
-                        std::collections::btree_map::Entry::Occupied(first) => {
-                            lints.push(Lint {
-                                kind: LintKind::DuplicateEquivalentFault,
-                                message: format!(
-                                    "fault {i} is provably equivalent to fault {} \
-                                     (same bits, same model, activation times in the \
-                                     same equivalence windows)",
-                                    first.get()
-                                ),
-                            });
-                        }
-                        std::collections::btree_map::Entry::Vacant(slot) => {
-                            slot.insert(i);
-                        }
+            if let Some(key) = self.class_key(config, fault) {
+                match seen.entry(key) {
+                    Entry::Occupied(first) => lints.push(Lint {
+                        kind: LintKind::DuplicateEquivalentFault,
+                        message: format!(
+                            "fault {i} is provably equivalent to fault {} \
+                             (same bits, same model, activation times in the \
+                             same equivalence windows)",
+                            first.get()
+                        ),
+                    }),
+                    Entry::Vacant(slot) => {
+                        slot.insert(i);
                     }
                 }
             }
@@ -770,16 +739,6 @@ mod tests {
             bit: 999,
         }];
         assert!(!a.can_prune(&cfg, &f));
-    }
-
-    #[test]
-    fn prune_fault_list_partitions() {
-        let a = analysis();
-        let cfg = config();
-        let faults = vec![fault(5, vec![4]), fault(5, vec![7]), fault(40, vec![0])];
-        let (kept, pruned) = a.prune_fault_list(&cfg, faults);
-        assert_eq!(pruned.len(), 2);
-        assert_eq!(kept.len(), 1);
     }
 
     #[test]
@@ -983,10 +942,15 @@ mod tests {
     #[test]
     fn pruning_mode_parses() {
         assert_eq!("off".parse::<Pruning>().unwrap(), Pruning::Off);
-        assert_eq!("trace".parse::<Pruning>().unwrap(), Pruning::Trace);
+        assert_eq!("campaign".parse::<Pruning>().unwrap(), Pruning::Campaign);
         assert_eq!("static".parse::<Pruning>().unwrap(), Pruning::Static);
         assert!("bogus".parse::<Pruning>().is_err());
-        assert_eq!(Pruning::default(), Pruning::Trace);
+        let err = "trace".parse::<Pruning>().unwrap_err();
+        assert!(err.contains("off, campaign or static"), "{err}");
+        assert_eq!(Pruning::default(), Pruning::Campaign);
+        assert!(!Pruning::Off.prunes(true));
+        assert!(Pruning::Campaign.prunes(true) && !Pruning::Campaign.prunes(false));
+        assert!(Pruning::Static.prunes(false));
         assert_eq!(Pruning::Static.to_string(), "static");
     }
 }

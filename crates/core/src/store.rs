@@ -335,10 +335,11 @@ fn schemas() -> [TableSchema; 5] {
                 Column::new("telemetryJson", ValueType::Text).not_null(),
             ],
         ),
-        // One row per campaign that ran with static pruning, holding the
-        // persisted `StaticAnalysis`. Like `CampaignTelemetry`, it sits
-        // outside the experiment-row FK graph so experiment rows stay
-        // byte-identical whether pruning was trace-based or static.
+        // One row per campaign that was pruned or ran class execution,
+        // holding the persisted `StaticAnalysis`. Like
+        // `CampaignTelemetry`, it sits outside the experiment-row FK
+        // graph so experiment rows stay byte-identical whether or not a
+        // campaign persisted its analysis.
         TableSchema::new(
             "StaticAnalysisData",
             vec![
@@ -785,7 +786,9 @@ impl GoofiStore {
     // ------------------------------------------------------------------
 
     /// Stores (or replaces) a campaign's static workload analysis (same
-    /// delete + insert semantics as telemetry).
+    /// delete + insert semantics as telemetry). A row equal to the stored
+    /// one is not written again, so a resume that re-derives the same
+    /// analysis leaves the file as a clean run would.
     ///
     /// # Errors
     ///
@@ -800,7 +803,9 @@ impl GoofiStore {
             (analysis.horizon as i64).into(),
             analysis.to_json().into(),
         ];
-        self.engine.get_mut().upsert("StaticAnalysisData", &row)?;
+        if self.row("StaticAnalysisData", campaign)?.as_ref() != Some(&row) {
+            self.engine.get_mut().upsert("StaticAnalysisData", &row)?;
+        }
         Ok(())
     }
 
@@ -1225,6 +1230,33 @@ mod tests {
         assert_eq!(store.get_static_analysis("c1").unwrap(), Some(updated));
         store.clear_static_analysis("c1").unwrap();
         assert_eq!(store.get_static_analysis("c1").unwrap(), None);
+    }
+
+    #[test]
+    fn an_unchanged_static_analysis_is_not_rewritten() {
+        let path = std::env::temp_dir().join("goofi_store_sa_unchanged.db");
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(wal_path(&path)).ok();
+        let mut store = GoofiStore::new();
+        store.put_target(&target_config()).unwrap();
+        store.put_campaign(&campaign()).unwrap();
+        store.enable_journal(&path).unwrap();
+        let footprint = |s: &mut GoofiStore| {
+            let stats = s.engine.get_mut().stats().unwrap();
+            let dead = stats
+                .tables
+                .iter()
+                .find(|t| t.name == "StaticAnalysisData")
+                .map(|t| t.dead_slots);
+            (stats.wal_bytes, dead)
+        };
+        store.put_static_analysis("c1", &static_analysis()).unwrap();
+        let first = footprint(&mut store);
+        store.put_static_analysis("c1", &static_analysis()).unwrap();
+        assert_eq!(footprint(&mut store), first, "an identical put wrote");
+        assert_eq!(first.1, Some(0));
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(wal_path(&path)).ok();
     }
 
     #[test]

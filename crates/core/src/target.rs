@@ -317,7 +317,8 @@ pub trait TargetSystemInterface: Send {
     }
 
     /// Runs a full fault-free execution and returns the per-instruction
-    /// trace (for pre-injection analysis and breakpoint placement).
+    /// trace (for trigger placement, and for the trace-based liveness
+    /// oracle the static analysis is checked against).
     ///
     /// # Errors
     ///
@@ -331,9 +332,10 @@ pub trait TargetSystemInterface: Send {
     /// windows up to `horizon` (the largest injection time the campaign
     /// will use). Unlike
     /// [`collect_trace`](TargetSystemInterface::collect_trace) this needs
-    /// no reference detail trace; the runner uses it for
-    /// [`Pruning::Static`](crate::staticanalysis::Pruning) and falls back
-    /// to no pruning when the target does not implement it.
+    /// no reference detail trace. The runner decides every pruned,
+    /// predicted and class-proxied experiment from it (see
+    /// [`Pruning`](crate::staticanalysis::Pruning)) and runs the campaign
+    /// unpruned when the target does not implement it.
     ///
     /// # Errors
     ///

@@ -194,12 +194,14 @@ impl TargetSystemInterface for MiniTarget {
         Ok(self.now)
     }
 
-    /// R0's first-touch windows (read at 5, overwritten at 10, halt at
-    /// 20): classes only, no dead or washout windows.
+    /// R0's windows (read at 5, overwritten at 10, halt at 20): dead
+    /// from 6 to 10, as [`collect_trace`](Self::collect_trace) implies,
+    /// and its first-touch windows; no washout windows.
     fn static_analysis(&mut self, horizon: u64) -> Result<StaticAnalysis> {
         Ok(StaticAnalysis {
             horizon,
             steps: 20,
+            dead: BTreeMap::from([("R0".to_owned(), vec![(6, 10)])]),
             equiv: BTreeMap::from([("R0".to_owned(), vec![(0, 5), (6, 10), (11, 19)])]),
             ..StaticAnalysis::default()
         })

@@ -8,7 +8,7 @@ use std::io::{Read, Write};
 /// The protocol version this build speaks. Bumped only when existing
 /// frame or message encodings change; new message kinds are additive
 /// (the enums are `#[non_exhaustive]`).
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on a frame's payload length. Larger declared lengths are
 /// rejected before any allocation — a corrupted length field must not

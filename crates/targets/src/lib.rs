@@ -33,6 +33,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 mod stackvm;
 mod thor;

@@ -410,8 +410,8 @@ impl TargetSystemInterface for ThorTarget {
 
     fn static_analysis(&mut self, horizon: u64) -> Result<goofi_core::StaticAnalysis> {
         // Cyclic workloads depend on environment I/O the analyzer's
-        // scratch replay cannot reproduce; the runner falls back to
-        // trace-based pruning.
+        // scratch replay cannot reproduce; the runner runs their
+        // campaigns unpruned.
         if self.env.is_some() {
             return Err(self.unsupported("staticAnalysis"));
         }

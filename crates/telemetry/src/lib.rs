@@ -40,7 +40,7 @@ use std::time::Instant;
 /// above the database), so it emits the `wal.*` and `checkpoint` names as literals that
 /// must match the constants here.
 pub mod names {
-    /// Fault-list generation + validation + optional liveness pre-pass.
+    /// Fault-list generation + validation + the optional static analysis.
     pub const PHASE_PREPARE: &str = "phase.prepare";
     /// The fault-free reference execution.
     pub const PHASE_REFERENCE: &str = "phase.reference_run";
@@ -54,6 +54,19 @@ pub mod names {
     pub const PHASE_STEPPING: &str = "phase.stepping";
     /// Outcome classification over the finished run set.
     pub const PHASE_CLASSIFICATION: &str = "phase.classification";
+
+    /// Grouping the executed faults into equivalence classes (runner).
+    pub const PHASE_CLASS_GROUPING: &str = "phase.class_grouping";
+
+    /// Building a workload's CFG with its def/use sets (emitted by
+    /// `goofi-analysis`).
+    pub const ANALYSIS_CFG: &str = "analysis.cfg";
+    /// The pc-only replay mapping injection times to CFG nodes (emitted
+    /// by `goofi-analysis`).
+    pub const ANALYSIS_REPLAY: &str = "analysis.replay";
+    /// The first-touch walk deriving dead, equivalence and washout
+    /// windows from the replay (emitted by `goofi-analysis`).
+    pub const ANALYSIS_WINDOWS: &str = "analysis.windows";
 
     /// `injectFault` building block (scan-chain or memory write-back).
     pub const BLOCK_INJECT_FAULT: &str = "block.inject_fault";
@@ -95,7 +108,7 @@ pub mod names {
     pub const COUNTER_CHECKPOINT_COLD: &str = "checkpoint.cold_fallback";
     /// Counter: experiments served from the checkpoint cache.
     pub const COUNTER_CHECKPOINT_HIT: &str = "checkpoint.restore_hit";
-    /// Counter: experiments skipped by the liveness pruning pre-pass.
+    /// Counter: experiments skipped by static pre-injection pruning.
     pub const COUNTER_PRUNED: &str = "experiments.pruned";
     /// Counter: experiments synthesised by fanning an equivalence-class
     /// representative's verdict out to its members.

@@ -6,8 +6,8 @@
 
 use goofi_repro::core::{
     analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, CampaignStats,
-    Command, FaultModel, GoofiStore, LocationSelector, ProgressEvent, Pruning, Result, RunOptions,
-    StateVector, StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig,
+    Command, FaultModel, GoofiStore, JobSummary, LocationSelector, ProgressEvent, Pruning, Result,
+    RunOptions, StateVector, StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig,
     TargetSystemInterface, Technique, TraceStep,
 };
 use goofi_repro::targets::ThorTarget;
@@ -345,14 +345,10 @@ fn journal_replay_recovers_unsnapshotted_parallel_campaign() {
     std::fs::remove_file(path.with_extension("json.wal")).ok();
 }
 
-/// Pruned and predicted rows are written straight from the fault and the
-/// reference, and class members from their representative: a campaign
-/// that decides most of its rows so saves the same bytes as the
-/// sequential runner that keeps every run, at workers 1, 2 and 4, and
-/// after a stop and a parallel resume.
-#[test]
-fn decided_rows_are_byte_identical_at_any_worker_count_and_across_resume() {
-    let c = Campaign::builder("det-decided", "thor-card", "sort12")
+/// A sort12 R6 campaign that decides most of its 400 rows without
+/// executing them under [`decided_options`].
+fn decided_campaign(name: &str) -> Campaign {
+    Campaign::builder(name, "thor-card", "sort12")
         .technique(Technique::Scifi)
         .select(LocationSelector::Chain {
             chain: "cpu".into(),
@@ -363,11 +359,69 @@ fn decided_rows_are_byte_identical_at_any_worker_count_and_across_resume() {
         .experiments(400)
         .seed(3)
         .build()
-        .unwrap();
-    let options = RunOptions::new()
+        .unwrap()
+}
+
+/// Static pruning, prediction and class execution.
+fn decided_options() -> RunOptions {
+    RunOptions::new()
         .pruning(Pruning::Static)
         .prediction(true)
-        .class_execution(true);
+        .class_execution(true)
+}
+
+/// Runs `c` on two workers into `store` and stops it after its 5th
+/// completed row; read-backs past the 20th wait for the stop, so the
+/// campaign cannot finish first.
+fn stop_early(c: &Campaign, options: RunOptions, store: &mut GoofiStore) -> JobSummary {
+    let (controller, handle) = control_channel();
+    let hold = Hold::new(20);
+    let held = {
+        let hold = hold.clone();
+        move || {
+            Box::new(HeldThor {
+                inner: ThorTarget::new("thor-card", sort_workload(12, 9)),
+                hold: hold.clone(),
+            }) as Box<dyn TargetSystemInterface>
+        }
+    };
+    let watcher = std::thread::spawn(move || {
+        let mut done = 0;
+        while let Some(event) = handle.next() {
+            match event {
+                ProgressEvent::ExperimentDone { .. } => {
+                    done += 1;
+                    if done == 5 {
+                        handle.send(Command::Stop);
+                        hold.release();
+                    }
+                }
+                ProgressEvent::Finished { .. } => break,
+                _ => {}
+            }
+        }
+    });
+    let stopped = CampaignRunner::from_factory(held, c)
+        .workers(2)
+        .store(store)
+        .options(options)
+        .observer(&controller)
+        .run_summary()
+        .unwrap();
+    drop(controller);
+    watcher.join().unwrap();
+    stopped
+}
+
+/// Pruned and predicted rows are written straight from the fault and the
+/// reference, and class members from their representative: a campaign
+/// that decides most of its rows so saves the same bytes as the
+/// sequential runner that keeps every run, at workers 1, 2 and 4, and
+/// after a stop and a parallel resume.
+#[test]
+fn decided_rows_are_byte_identical_at_any_worker_count_and_across_resume() {
+    let c = decided_campaign("det-decided");
+    let options = decided_options();
     let saved = |store: &mut GoofiStore, name: &str| {
         let path = tmp(name);
         store.save(&path).unwrap();
@@ -416,45 +470,8 @@ fn decided_rows_are_byte_identical_at_any_worker_count_and_across_resume() {
         );
     }
 
-    // Stop after the 5th completed row; read-backs past the 20th wait for
-    // the stop, so the campaign cannot finish first.
-    let (controller, handle) = control_channel();
-    let hold = Hold::new(20);
-    let held = {
-        let hold = hold.clone();
-        move || {
-            Box::new(HeldThor {
-                inner: ThorTarget::new("thor-card", sort_workload(12, 9)),
-                hold: hold.clone(),
-            }) as Box<dyn TargetSystemInterface>
-        }
-    };
-    let watcher = std::thread::spawn(move || {
-        let mut done = 0;
-        while let Some(event) = handle.next() {
-            match event {
-                ProgressEvent::ExperimentDone { .. } => {
-                    done += 1;
-                    if done == 5 {
-                        handle.send(Command::Stop);
-                        hold.release();
-                    }
-                }
-                ProgressEvent::Finished { .. } => break,
-                _ => {}
-            }
-        }
-    });
     let mut store = seeded_store(&c);
-    let stopped = CampaignRunner::from_factory(held, &c)
-        .workers(2)
-        .store(&mut store)
-        .options(options)
-        .observer(&controller)
-        .run_summary()
-        .unwrap();
-    drop(controller);
-    watcher.join().unwrap();
+    let stopped = stop_early(&c, options, &mut store);
     assert!(
         stopped.experiments < 400,
         "stop must cut the campaign short"
@@ -476,4 +493,77 @@ fn decided_rows_are_byte_identical_at_any_worker_count_and_across_resume() {
         seq_bytes,
         "stop + resume differs from an uninterrupted run"
     );
+}
+
+/// A stopped campaign's resume tallies the decided rows the stopped run
+/// stored as what they were decided to be, so its summary (stats, pruned
+/// and predicted counts) is the uninterrupted run's.
+#[test]
+fn resumed_campaign_counts_its_stored_decided_rows() {
+    let c = decided_campaign("det-tally");
+    let options = decided_options();
+    let full = CampaignRunner::from_factory(factory, &c)
+        .store(&mut seeded_store(&c))
+        .options(options)
+        .run_summary()
+        .unwrap();
+    let mut store = seeded_store(&c);
+    let stopped = stop_early(&c, options, &mut store);
+    assert!(
+        stopped.experiments < 400 && stopped.pruned + stopped.predicted > 0,
+        "the stopped run must store some decided rows: {stopped:?}"
+    );
+    let resumed = CampaignRunner::from_factory(factory, &c)
+        .workers(2)
+        .options(options)
+        .resume_from(&mut store)
+        .run_summary()
+        .unwrap();
+    assert_eq!(resumed.experiments, 400);
+    assert_eq!(resumed.pruned, full.pruned);
+    assert_eq!(resumed.predicted, full.predicted);
+    assert_eq!(resumed.stats, full.stats);
+}
+
+/// A campaign whose rows all reached the write-ahead log but whose final
+/// checkpoint never ran (a kill between the two) resumes to nothing left
+/// to run, and the saved file is byte-identical to a clean run's: the
+/// resume does not rewrite the unchanged static-analysis row.
+#[test]
+fn resume_after_an_unsaved_finish_saves_a_clean_runs_bytes() {
+    let c = decided_campaign("det-unsaved");
+    let options = decided_options();
+    let run = |path: &std::path::Path| {
+        let mut store = seeded_store(&c);
+        store.save(path).unwrap();
+        store.enable_journal(path).unwrap();
+        CampaignRunner::from_factory(factory, &c)
+            .store(&mut store)
+            .options(options)
+            .run_summary()
+            .unwrap();
+        store
+    };
+    let clean = tmp("unsaved_clean.db");
+    run(&clean).save(&clean).unwrap();
+
+    let crashed = tmp("unsaved_crash.db");
+    drop(run(&crashed)); // no save: the rows live only in the WAL
+    let mut store = GoofiStore::load(&crashed).unwrap();
+    let resumed = CampaignRunner::from_factory(factory, &c)
+        .options(options)
+        .resume_from(&mut store)
+        .run_summary()
+        .unwrap();
+    assert_eq!(resumed.experiments, 400);
+    store.save(&crashed).unwrap();
+    assert_eq!(
+        std::fs::read(&crashed).unwrap(),
+        std::fs::read(&clean).unwrap(),
+        "the resumed file differs from a clean run's"
+    );
+    for path in [clean, crashed] {
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(path.with_extension("db.wal")).ok();
+    }
 }

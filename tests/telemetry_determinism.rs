@@ -4,11 +4,12 @@
 //! cleared — are identical to a plain sequential run.
 
 use goofi_repro::core::{
-    Campaign, CampaignRunner, FaultModel, GoofiStore, LocationSelector, RunOptions,
+    Campaign, CampaignRunner, FaultModel, GoofiStore, LocationSelector, Pruning, RunOptions,
     TargetSystemInterface, Technique, TelemetryMode,
 };
 use goofi_repro::targets::ThorTarget;
 use goofi_repro::workloads::sort_workload;
+use goofi_telemetry::names;
 
 fn campaign(name: &str, n: usize) -> Campaign {
     Campaign::builder(name, "thor-card", "sort12")
@@ -107,5 +108,46 @@ fn telemetry_never_changes_the_database() {
             );
             std::fs::remove_file(&path).ok();
         }
+    }
+}
+
+/// The analysis layer is visible in telemetry: a campaign that builds a
+/// static analysis records its CFG build, its pc replay and its window
+/// walk once each, and the runner's class grouping once. No other test
+/// in this binary analyses this workload image: the analyzer memoizes
+/// per (image, horizon), and a cached analysis records none of its spans.
+#[test]
+fn static_analysis_layers_are_recorded() {
+    let c = Campaign::builder("tel-analysis", "thor-card", "sort10")
+        .technique(Technique::Scifi)
+        .select(LocationSelector::Chain {
+            chain: "cpu".into(),
+            field: Some("R6".into()),
+        })
+        .fault_model(FaultModel::BitFlip)
+        .window(0, 300)
+        .experiments(40)
+        .seed(5)
+        .build()
+        .unwrap();
+    let mut target = ThorTarget::new("thor-card", sort_workload(10, 57));
+    let options = RunOptions::new()
+        .telemetry(TelemetryMode::Metrics)
+        .pruning(Pruning::Static)
+        .class_execution(true);
+    let result = CampaignRunner::new(&mut target, &c)
+        .options(options)
+        .run()
+        .unwrap();
+    let tel = result
+        .telemetry
+        .expect("enabled telemetry produces a rollup");
+    for name in [
+        names::ANALYSIS_CFG,
+        names::ANALYSIS_REPLAY,
+        names::ANALYSIS_WINDOWS,
+        names::PHASE_CLASS_GROUPING,
+    ] {
+        assert_eq!(tel.phase(name).map(|p| p.count), Some(1), "{name}");
     }
 }
