@@ -735,16 +735,27 @@ fn cmd_report(p: &ParsedArgs) -> Result<String, String> {
     ));
 
     // Static pre-injection analysis, when the campaign was pruned or ran
-    // with `--class-exec`: kept/pruned per location
-    // class (re-deriving the runner's verdict from the persisted dead
-    // windows) and the fault equivalence classes with their
-    // multiplicities — dead classes collapse to the reference outcome,
-    // live classes executed one representative for all members.
+    // with `--class-exec`: kept/pruned per location class and the fault
+    // equivalence classes with their multiplicities — dead classes
+    // collapse to the reference outcome, live classes executed one
+    // representative for all members. The analysis holds dead classes
+    // only when the run pruned, and then every member was pruned, so a
+    // fault counts as pruned exactly when a dead class holds it.
     if let Some(sa) = store.get_static_analysis(name).map_err(|e| e.to_string())? {
         out.push_str(&format!(
             "\nstatic pre-injection analysis ({} blocks, {} edges, horizon {}):\n",
             sa.blocks, sa.edges, sa.horizon
         ));
+        let dead: Vec<_> = sa
+            .classes
+            .iter()
+            .filter(|c| c.kind == goofi_core::ClassKind::Dead)
+            .collect();
+        let pruned_rows: std::collections::HashSet<String> = dead
+            .iter()
+            .flat_map(|c| &c.members)
+            .map(|&i| goofi_core::logged_experiment_name(name, i))
+            .collect();
         let mut per_loc: std::collections::BTreeMap<String, (usize, usize)> =
             std::collections::BTreeMap::new();
         for r in &records {
@@ -760,7 +771,7 @@ fn cmd_report(p: &ParsedArgs) -> Result<String, String> {
             names.sort();
             names.dedup();
             let counts = per_loc.entry(names.join(",")).or_default();
-            if sa.can_prune(&config, fault) {
+            if pruned_rows.contains(&r.name) {
                 counts.1 += 1;
             } else {
                 counts.0 += 1;
@@ -770,11 +781,6 @@ fn cmd_report(p: &ParsedArgs) -> Result<String, String> {
         for (loc, (kept, pruned)) in &per_loc {
             out.push_str(&format!("  {loc:<16} {kept:>6} {pruned:>7}\n"));
         }
-        let dead: Vec<_> = sa
-            .classes
-            .iter()
-            .filter(|c| c.kind == goofi_core::ClassKind::Dead)
-            .collect();
         if !dead.is_empty() {
             out.push_str(&format!(
                 "  equivalence classes among pruned faults: {}\n",
@@ -1389,6 +1395,74 @@ mod tests {
         let report = call(&["report", "--db", &db_class, "--campaign", "ce"]).unwrap();
         assert!(report.contains("class execution savings"), "{report}");
         assert!(report.contains("equivalence window"), "{report}");
+    }
+
+    #[test]
+    fn report_counts_the_faults_the_run_pruned() {
+        // The sort16 R6 campaign run with class execution: its report's
+        // kept/pruned table must repeat the run's own pruned count, also
+        // when the run pruned nothing.
+        let run_and_report = |pruning: &str| {
+            let db = tmpdb(&format!("report_pruned_{pruning}.json"));
+            call(&[
+                "configure",
+                "--db",
+                &db,
+                "--target",
+                "t",
+                "--workload",
+                "sort16",
+            ])
+            .unwrap();
+            call(&[
+                "setup",
+                "--db",
+                &db,
+                "--campaign",
+                "rp",
+                "--target",
+                "t",
+                "--workload",
+                "sort16",
+                "--chain",
+                "cpu",
+                "--field",
+                "R6",
+                "--experiments",
+                "200",
+                "--seed",
+                "9",
+            ])
+            .unwrap();
+            let out = call(&[
+                "run",
+                "--db",
+                &db,
+                "--campaign",
+                "rp",
+                "--class-exec",
+                "--pruning",
+                pruning,
+            ])
+            .unwrap();
+            let pruned: usize = out
+                .lines()
+                .find_map(|l| l.strip_prefix("pruned by pre-injection analysis: "))
+                .and_then(|n| n.split_whitespace().next())
+                .and_then(|n| n.parse().ok())
+                .expect("run reports a pruned count");
+            let report = call(&["report", "--db", &db, "--campaign", "rp"]).unwrap();
+            (pruned, report)
+        };
+        let row = |kept: usize, pruned: usize| format!("  {:<16} {kept:>6} {pruned:>7}\n", "R6");
+
+        let (pruned, report) = run_and_report("off");
+        assert_eq!(pruned, 0);
+        assert!(report.contains(&row(200, 0)), "{report}");
+
+        let (pruned, report) = run_and_report("static");
+        assert!(pruned > 0, "static pruning found nothing on R6");
+        assert!(report.contains(&row(200 - pruned, pruned)), "{report}");
     }
 
     #[test]

@@ -82,7 +82,7 @@ pub use goofi_telemetry::{
     CampaignTelemetry, CounterStat, PhaseStats, SpanRecord, TelemetryMode, WorkerTelemetry,
 };
 pub use preinject::{FirstUse, LivenessAnalysis};
-pub use progress::{control_channel, Command, ControlHandle, Controller, ProgressEvent};
+pub use progress::{control_channel, Command, ControlHandle, Controller};
 pub use propagation::{analyze_propagation, PropagationReport, PropagationStep};
 pub use runner::{
     logged_experiment_name, plan_campaign, CampaignPlan, CampaignResult, CampaignRunner,
@@ -91,7 +91,7 @@ pub use runner::{
 pub use service::{
     drain, CampaignRef, CampaignService, ClassSavings, EventSink, EventStream, ExecOptions,
     FactoryProvider, JobId, JobRegistry, JobSpec, JobStatus, JobSummary, Launcher, LocalService,
-    NullSink, ServiceEvent, TargetFactory,
+    ServiceEvent, TargetFactory,
 };
 pub use staticanalysis::{ClassKind, EquivalenceClass, Lint, LintKind, Pruning, StaticAnalysis};
 pub use store::{reference_experiment_name, ExperimentData, ExperimentRecord, GoofiStore};

@@ -3,43 +3,14 @@
 //! The paper's Fig. 7 progress window shows the number of experiments
 //! conducted and lets the user "pause, restart or end the campaign". This
 //! module is that surface without the window: the runner holds a
-//! [`Controller`] that emits [`ProgressEvent`]s and obeys [`Command`]s
-//! sent through the paired [`ControlHandle`].
+//! [`Controller`] that emits [`ServiceEvent`]s and obeys [`Command`]s.
+//! A campaign service's controller hands each event straight to its job
+//! registry; [`control_channel`] pairs one with a [`ControlHandle`] that
+//! receives the events itself.
 
 use crate::error::{GoofiError, Result};
+use crate::service::ServiceEvent;
 use crossbeam::channel::{unbounded, Receiver, Sender, TryRecvError};
-
-/// Progress notifications emitted by a running campaign.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProgressEvent {
-    /// The campaign started; `total` experiments planned.
-    Started {
-        /// Campaign name.
-        campaign: String,
-        /// Planned number of experiments.
-        total: usize,
-    },
-    /// One experiment finished.
-    ExperimentDone {
-        /// 1-based experiment number.
-        completed: usize,
-        /// Planned total.
-        total: usize,
-        /// Whether pre-injection analysis skipped the physical run.
-        pruned: bool,
-    },
-    /// The campaign acknowledged a pause.
-    Paused,
-    /// The campaign resumed.
-    Resumed,
-    /// The campaign finished (all experiments, or stopped early).
-    Finished {
-        /// Experiments completed.
-        completed: usize,
-        /// `true` if the operator stopped the campaign early.
-        stopped: bool,
-    },
-}
 
 /// Operator commands.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,40 +24,48 @@ pub enum Command {
 }
 
 /// The runner-side endpoint.
-#[derive(Debug)]
 pub struct Controller {
     commands: Receiver<Command>,
-    progress: Sender<ProgressEvent>,
+    emitter: Box<dyn Fn(ServiceEvent) + Send + Sync>,
 }
 
-/// The operator-side endpoint (what a GUI or CLI holds).
+/// The operator-side endpoint of a [`control_channel`] (what a GUI or
+/// CLI holds).
 #[derive(Debug)]
 pub struct ControlHandle {
     commands: Sender<Command>,
-    progress: Receiver<ProgressEvent>,
+    events: Receiver<ServiceEvent>,
 }
 
-/// Creates a connected controller/handle pair.
+/// Creates a connected controller/handle pair: the handle sends the
+/// commands and receives the events.
 pub fn control_channel() -> (Controller, ControlHandle) {
-    let (cmd_tx, cmd_rx) = unbounded();
-    let (prog_tx, prog_rx) = unbounded();
-    (
-        Controller {
-            commands: cmd_rx,
-            progress: prog_tx,
-        },
-        ControlHandle {
-            commands: cmd_tx,
-            progress: prog_rx,
-        },
-    )
+    let (events_tx, events) = unbounded();
+    let (controller, commands) = Controller::new(move |ev| {
+        // Dropped if the handle is gone: a campaign must not die because
+        // its progress window closed.
+        let _ = events_tx.send(ev);
+    });
+    (controller, ControlHandle { commands, events })
 }
 
 impl Controller {
-    /// Emits a progress event (dropped if the handle is gone — a campaign
-    /// must not die because its progress window closed).
-    pub fn emit(&self, event: ProgressEvent) {
-        let _ = self.progress.send(event);
+    /// A controller that calls `emitter` with every event, on the thread
+    /// that emits it, and obeys the commands sent on the returned sender.
+    pub(crate) fn new(
+        emitter: impl Fn(ServiceEvent) + Send + Sync + 'static,
+    ) -> (Controller, Sender<Command>) {
+        let (commands_tx, commands) = unbounded();
+        let controller = Controller {
+            commands,
+            emitter: Box::new(emitter),
+        };
+        (controller, commands_tx)
+    }
+
+    /// Emits a progress event.
+    pub fn emit(&self, event: ServiceEvent) {
+        (self.emitter)(event);
     }
 
     /// The raw command receiver, for runners that multiplex commands with
@@ -120,13 +99,13 @@ impl Controller {
                 Some(Command::Pause) => {
                     if !paused {
                         paused = true;
-                        self.emit(ProgressEvent::Paused);
+                        self.emit(ServiceEvent::Paused);
                     }
                 }
                 Some(Command::Resume) => {
                     if paused {
                         paused = false;
-                        self.emit(ProgressEvent::Resumed);
+                        self.emit(ServiceEvent::Resumed);
                     }
                 }
                 // No pending command while running, or the operator handle
@@ -144,18 +123,18 @@ impl ControlHandle {
     }
 
     /// Non-blocking poll for the next progress event.
-    pub fn try_next(&self) -> Option<ProgressEvent> {
-        self.progress.try_recv().ok()
+    pub fn try_next(&self) -> Option<ServiceEvent> {
+        self.events.try_recv().ok()
     }
 
     /// Blocking wait for the next progress event; `None` once the campaign
     /// is gone.
-    pub fn next(&self) -> Option<ProgressEvent> {
-        self.progress.recv().ok()
+    pub fn next(&self) -> Option<ServiceEvent> {
+        self.events.recv().ok()
     }
 
     /// Drains all pending events.
-    pub fn drain(&self) -> Vec<ProgressEvent> {
+    pub fn drain(&self) -> Vec<ServiceEvent> {
         let mut out = Vec::new();
         while let Some(ev) = self.try_next() {
             out.push(ev);
@@ -189,20 +168,20 @@ mod tests {
         handle.send(Command::Pause);
         let worker = thread::spawn(move || {
             ctl.checkpoint().unwrap();
-            ctl.emit(ProgressEvent::Finished {
+            ctl.emit(ServiceEvent::Finished {
                 completed: 1,
                 stopped: false,
             });
         });
         // Paused event appears; the worker must be blocked now.
-        assert_eq!(handle.next(), Some(ProgressEvent::Paused));
+        assert_eq!(handle.next(), Some(ServiceEvent::Paused));
         thread::sleep(Duration::from_millis(20));
         assert!(handle.try_next().is_none(), "worker is paused");
         handle.send(Command::Resume);
-        assert_eq!(handle.next(), Some(ProgressEvent::Resumed));
+        assert_eq!(handle.next(), Some(ServiceEvent::Resumed));
         assert_eq!(
             handle.next(),
-            Some(ProgressEvent::Finished {
+            Some(ServiceEvent::Finished {
                 completed: 1,
                 stopped: false
             })
@@ -231,18 +210,18 @@ mod tests {
     fn emit_survives_dropped_handle() {
         let (ctl, handle) = control_channel();
         drop(handle);
-        ctl.emit(ProgressEvent::Paused); // no panic
+        ctl.emit(ServiceEvent::Paused); // no panic
         assert!(ctl.checkpoint().is_ok());
     }
 
     #[test]
     fn drain_collects_everything() {
         let (ctl, handle) = control_channel();
-        ctl.emit(ProgressEvent::Started {
+        ctl.emit(ServiceEvent::Started {
             campaign: "c".into(),
             total: 2,
         });
-        ctl.emit(ProgressEvent::ExperimentDone {
+        ctl.emit(ServiceEvent::Progress {
             completed: 1,
             total: 2,
             pruned: false,

@@ -39,9 +39,9 @@ use crate::campaign::{Campaign, LogMode, Technique};
 use crate::checkpoint::{run_experiment_checkpointed, CheckpointPlan};
 use crate::error::{GoofiError, Result};
 use crate::fault::{generate_fault_list, PlannedFault, TriggerPolicy};
-use crate::progress::{Command, Controller, ProgressEvent};
+use crate::progress::{Command, Controller};
 use crate::rowcodec;
-use crate::service::{ClassSavings, JobSummary};
+use crate::service::{ClassSavings, JobSummary, ServiceEvent};
 use crate::staticanalysis::{ClassKind, Pruning, StaticAnalysis};
 use crate::store::{reference_experiment_name, ExperimentRecord, GoofiStore};
 use crate::target::{TargetSystemConfig, TargetSystemInterface};
@@ -984,7 +984,7 @@ impl<'a> Sink<'a> {
         keep_runs: bool,
     ) -> Result<Sink<'a>> {
         if let Some(ctl) = controller {
-            ctl.emit(ProgressEvent::Started {
+            ctl.emit(ServiceEvent::Started {
                 campaign: campaign.name.clone(),
                 total: plan.len(),
             });
@@ -1076,7 +1076,7 @@ impl<'a> Sink<'a> {
         };
         tally.completed += 1;
         if let Some(ctl) = self.controller {
-            ctl.emit(ProgressEvent::ExperimentDone {
+            ctl.emit(ServiceEvent::Progress {
                 completed: tally.completed,
                 total: self.plan.len(),
                 pruned: decision == Decision::Pruned,
@@ -1295,7 +1295,7 @@ fn execute(
         }
     };
     if let Some(ctl) = controller {
-        ctl.emit(ProgressEvent::Finished {
+        ctl.emit(ServiceEvent::Finished {
             completed: tally.completed,
             stopped,
         });
@@ -1372,11 +1372,9 @@ impl Gate {
     fn command(&self, cmd: Command, ctl: &Controller) {
         let mut state = self.state.lock();
         let (next, ack) = match (cmd, *state) {
-            (Command::Pause, GateState::Running) => {
-                (GateState::Paused, Some(ProgressEvent::Paused))
-            }
+            (Command::Pause, GateState::Running) => (GateState::Paused, Some(ServiceEvent::Paused)),
             (Command::Resume, GateState::Paused) => {
-                (GateState::Running, Some(ProgressEvent::Resumed))
+                (GateState::Running, Some(ServiceEvent::Resumed))
             }
             (Command::Stop, _) => (GateState::Stopped, None),
             _ => return,
@@ -1720,7 +1718,7 @@ mod tests {
         let events = handle.drain();
         assert!(events
             .iter()
-            .any(|e| matches!(e, ProgressEvent::Finished { stopped: true, .. })));
+            .any(|e| matches!(e, ServiceEvent::Finished { stopped: true, .. })));
     }
 
     #[test]
@@ -1734,12 +1732,12 @@ mod tests {
         let events = handle.drain();
         let done: Vec<_> = events
             .iter()
-            .filter(|e| matches!(e, ProgressEvent::ExperimentDone { .. }))
+            .filter(|e| matches!(e, ServiceEvent::Progress { .. }))
             .collect();
         assert_eq!(done.len(), 3);
         assert!(matches!(
             events.last(),
-            Some(ProgressEvent::Finished {
+            Some(ServiceEvent::Finished {
                 completed: 3,
                 stopped: false
             })
@@ -1827,12 +1825,12 @@ mod tests {
         let events = handle.drain();
         assert!(matches!(
             events.first(),
-            Some(ProgressEvent::Started { total: 9, .. })
+            Some(ServiceEvent::Started { total: 9, .. })
         ));
         let done: Vec<_> = events
             .iter()
             .filter_map(|e| match e {
-                ProgressEvent::ExperimentDone { completed, .. } => Some(*completed),
+                ServiceEvent::Progress { completed, .. } => Some(*completed),
                 _ => None,
             })
             .collect();
@@ -1843,7 +1841,7 @@ mod tests {
         );
         assert!(matches!(
             events.last(),
-            Some(ProgressEvent::Finished {
+            Some(ServiceEvent::Finished {
                 completed: 9,
                 stopped: false
             })
@@ -1872,7 +1870,7 @@ mod tests {
         let events = handle.drain();
         assert!(events
             .iter()
-            .any(|e| matches!(e, ProgressEvent::Finished { stopped: true, .. })));
+            .any(|e| matches!(e, ServiceEvent::Finished { stopped: true, .. })));
 
         // Parallel resume finishes the campaign; totals match a full run.
         let resumed = CampaignRunner::from_factory(mini_factory, &c)
@@ -1981,14 +1979,14 @@ mod tests {
         let operator = std::thread::spawn(move || {
             let mut seen = 0;
             while let Some(ev) = handle.next() {
-                if matches!(ev, ProgressEvent::ExperimentDone { .. }) {
+                if matches!(ev, ServiceEvent::Progress { .. }) {
                     seen += 1;
                     if seen == 5 {
                         handle.send(Command::Stop);
                         hold.release();
                     }
                 }
-                if matches!(ev, ProgressEvent::Finished { .. }) {
+                if matches!(ev, ServiceEvent::Finished { .. }) {
                     break;
                 }
             }
@@ -2053,7 +2051,7 @@ mod tests {
         // Wait for the pause acknowledgement, let the pool sit, resume.
         loop {
             match handle.next() {
-                Some(ProgressEvent::Paused) => break,
+                Some(ServiceEvent::Paused) => break,
                 Some(_) => continue,
                 None => panic!("campaign ended without acknowledging pause"),
             }
@@ -2063,7 +2061,7 @@ mod tests {
         let result = worker.join().unwrap();
         assert_eq!(result.runs.len(), 30);
         let events = handle.drain();
-        assert!(events.contains(&ProgressEvent::Resumed));
+        assert!(events.contains(&ServiceEvent::Resumed));
     }
 
     #[test]

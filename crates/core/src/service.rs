@@ -23,7 +23,7 @@
 use crate::analysis::CampaignStats;
 use crate::campaign::Campaign;
 use crate::error::{GoofiError, Result};
-use crate::progress::{control_channel, Command, ControlHandle, Controller, ProgressEvent};
+use crate::progress::{Command, Controller};
 use crate::runner::{CampaignRunner, ChunkExecutor, RunOptions};
 use crate::staticanalysis::Pruning;
 use crate::store::GoofiStore;
@@ -357,50 +357,29 @@ impl ServiceEvent {
             ServiceEvent::Completed { .. } | ServiceEvent::Failed { .. }
         )
     }
-
-    /// Lifts a runner progress event into the service vocabulary.
-    pub fn from_progress(ev: ProgressEvent) -> ServiceEvent {
-        match ev {
-            ProgressEvent::Started { campaign, total } => ServiceEvent::Started { campaign, total },
-            ProgressEvent::ExperimentDone {
-                completed,
-                total,
-                pruned,
-            } => ServiceEvent::Progress {
-                completed,
-                total,
-                pruned,
-            },
-            ProgressEvent::Paused => ServiceEvent::Paused,
-            ProgressEvent::Resumed => ServiceEvent::Resumed,
-            ProgressEvent::Finished { completed, stopped } => {
-                ServiceEvent::Finished { completed, stopped }
-            }
-        }
-    }
 }
 
 /// A blocking stream of [`ServiceEvent`]s for one job. Iteration ends
 /// after the terminal event ([`ServiceEvent::is_terminal`]) or when the
-/// producer goes away.
+/// source runs dry (the producer went away). Each event is read on the
+/// thread that iterates the stream.
 pub struct EventStream {
-    rx: Receiver<ServiceEvent>,
+    events: Box<dyn Iterator<Item = ServiceEvent> + Send>,
     done: bool,
 }
 
 impl EventStream {
-    /// A stream reading from `rx` until a terminal event or disconnect.
-    pub fn from_receiver(rx: Receiver<ServiceEvent>) -> EventStream {
-        EventStream { rx, done: false }
+    /// A stream over `events` (a remote watch's socket reader, say).
+    pub fn new(events: impl Iterator<Item = ServiceEvent> + Send + 'static) -> EventStream {
+        EventStream {
+            events: Box::new(events),
+            done: false,
+        }
     }
 
-    /// A finite stream replaying `events`.
-    pub fn from_events(events: Vec<ServiceEvent>) -> EventStream {
-        let (tx, rx) = unbounded();
-        for ev in events {
-            let _ = tx.send(ev);
-        }
-        EventStream { rx, done: false }
+    /// A stream reading from `rx` until a terminal event or disconnect.
+    pub fn from_receiver(rx: Receiver<ServiceEvent>) -> EventStream {
+        EventStream::new(std::iter::from_fn(move || rx.recv().ok()))
     }
 }
 
@@ -411,18 +390,9 @@ impl Iterator for EventStream {
         if self.done {
             return None;
         }
-        match self.rx.recv() {
-            Ok(ev) => {
-                if ev.is_terminal() {
-                    self.done = true;
-                }
-                Some(ev)
-            }
-            Err(_) => {
-                self.done = true;
-                None
-            }
-        }
+        let ev = self.events.next();
+        self.done = ev.as_ref().is_none_or(ServiceEvent::is_terminal);
+        ev
     }
 }
 
@@ -431,13 +401,6 @@ impl Iterator for EventStream {
 pub trait EventSink {
     /// Called once per event, in order.
     fn event(&mut self, ev: &ServiceEvent);
-}
-
-/// A sink that ignores everything.
-pub struct NullSink;
-
-impl EventSink for NullSink {
-    fn event(&mut self, _ev: &ServiceEvent) {}
 }
 
 /// Pumps a job's event stream into `sink` until the job ends.
@@ -592,11 +555,11 @@ impl JobRegistry {
             }
             _ => {}
         }
-        entry.events.push(ev.clone());
         entry.subscribers.retain(|tx| tx.send(ev.clone()).is_ok());
         if ev.is_terminal() {
             entry.subscribers.clear();
         }
+        entry.events.push(ev);
     }
 
     /// The job's status, if known.
@@ -679,7 +642,8 @@ pub struct LocalService {
     provider: FactoryProvider,
     launcher: Option<Arc<dyn Launcher>>,
     registry: Arc<JobRegistry>,
-    controls: Arc<Mutex<HashMap<JobId, Arc<ControlHandle>>>>,
+    /// Each job's command sender, for `cancel`.
+    controls: HashMap<JobId, Sender<Command>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -692,7 +656,7 @@ impl LocalService {
             provider,
             launcher: None,
             registry: Arc::new(JobRegistry::new()),
-            controls: Arc::new(Mutex::new(HashMap::new())),
+            controls: HashMap::new(),
             threads: Vec::new(),
         }
     }
@@ -753,9 +717,11 @@ impl CampaignService for LocalService {
             }
         }
         let job = self.registry.create(&campaign.name);
-        let (controller, handle) = control_channel();
-        let handle = Arc::new(handle);
-        lock(&self.controls).insert(job.clone(), handle.clone());
+        // The runner's events go straight into the registry, on the
+        // thread that emits them.
+        let (registry, id) = (self.registry.clone(), job.clone());
+        let (controller, commands) = Controller::new(move |ev| registry.emit(&id, ev));
+        self.controls.insert(job.clone(), commands);
 
         let registry = self.registry.clone();
         let db = self.db.clone();
@@ -763,7 +729,7 @@ impl CampaignService for LocalService {
         let id = job.clone();
         self.threads.push(std::thread::spawn(move || {
             run_local_job(
-                &registry, &id, &db, &campaign, factory, &launcher, &spec, controller, &handle,
+                &registry, &id, &db, &campaign, factory, &launcher, &spec, controller,
             );
         }));
         Ok(job)
@@ -782,11 +748,11 @@ impl CampaignService for LocalService {
     }
 
     fn cancel(&mut self, job: &str) -> Result<bool> {
-        let controls = lock(&self.controls);
-        let handle = controls
+        let commands = self
+            .controls
             .get(job)
             .ok_or_else(|| GoofiError::Service(format!("no such job `{job}`")))?;
-        Ok(handle.send(Command::Stop))
+        Ok(commands.send(Command::Stop).is_ok())
     }
 
     fn jobs(&mut self) -> Result<Vec<(JobId, JobStatus)>> {
@@ -795,8 +761,8 @@ impl CampaignService for LocalService {
 }
 
 /// One job, on its own thread: open the store, journal, launch any
-/// executors, run the campaign with a progress forwarder pumping runner
-/// events into the registry, snapshot, and emit the terminal event.
+/// executors, run the campaign (its `controller` emits into the
+/// registry), snapshot, and emit the terminal event.
 #[allow(clippy::too_many_arguments)]
 fn run_local_job(
     registry: &Arc<JobRegistry>,
@@ -807,23 +773,7 @@ fn run_local_job(
     launcher: &Option<Arc<dyn Launcher>>,
     spec: &JobSpec,
     controller: Controller,
-    handle: &Arc<ControlHandle>,
 ) {
-    let forwarder = {
-        let registry = registry.clone();
-        let job = job.to_owned();
-        let handle = handle.clone();
-        std::thread::spawn(move || {
-            while let Some(ev) = handle.next() {
-                let finished = matches!(ev, ProgressEvent::Finished { .. });
-                registry.emit(&job, ServiceEvent::from_progress(ev));
-                if finished {
-                    break;
-                }
-            }
-        })
-    };
-
     let outcome = (|| -> Result<JobSummary> {
         let mut store = LocalService::load_store(db)?;
         store.enable_journal(db)?;
@@ -847,8 +797,8 @@ fn run_local_job(
         Ok(summary)
     })();
 
-    drop(controller);
-    let _ = forwarder.join();
+    // The runner emitted `Finished` before it returned, so `Completed`
+    // follows it.
     match outcome {
         Ok(summary) => registry.emit(
             job,
@@ -930,6 +880,55 @@ mod tests {
         // The DB is durable: a second service resumes to the same state.
         let store = GoofiStore::load(&db).expect("saved db loads");
         assert_eq!(store.experiments_of("svc-c1").unwrap().len(), 12 + 1);
+        let _ = std::fs::remove_file(&db);
+    }
+
+    #[test]
+    fn watch_from_the_start_yields_the_whole_job_in_order() {
+        let dir = std::env::temp_dir().join(format!("goofi-svc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join("local-sequence.db");
+        let _ = std::fs::remove_file(&db);
+
+        let mut svc = LocalService::new(&db, mini_provider());
+        let job = svc
+            .submit(JobSpec::new(CampaignRef::Inline(mini_campaign("svc-c4"))))
+            .unwrap();
+        let events: Vec<_> = svc.watch(&job, true).unwrap().collect();
+        assert_eq!(events.len(), 1 + 1 + 12 + 1 + 1, "{events:?}");
+        assert_eq!(
+            events[0],
+            ServiceEvent::Queued {
+                job: job.clone(),
+                campaign: "svc-c4".into()
+            }
+        );
+        assert_eq!(
+            events[1],
+            ServiceEvent::Started {
+                campaign: "svc-c4".into(),
+                total: 12
+            }
+        );
+        for (k, ev) in events[2..14].iter().enumerate() {
+            assert!(
+                matches!(ev, ServiceEvent::Progress { completed, total: 12, .. } if *completed == k + 1),
+                "event {}: {ev:?}",
+                k + 2
+            );
+        }
+        assert_eq!(
+            events[14],
+            ServiceEvent::Finished {
+                completed: 12,
+                stopped: false
+            }
+        );
+        assert!(
+            matches!(&events[15], ServiceEvent::Completed { summary } if summary.experiments == 12),
+            "{:?}",
+            events[15]
+        );
         let _ = std::fs::remove_file(&db);
     }
 

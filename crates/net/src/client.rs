@@ -4,14 +4,16 @@
 
 use crate::frame::{read_frame, write_frame, NetError, PROTOCOL_VERSION};
 use crate::message::{Event, Request, Response};
-use crossbeam::channel::unbounded;
 use goofi_core::service::{CampaignService, EventStream, JobId, JobSpec, JobStatus};
 use goofi_core::{GoofiError, Result};
+use std::io::BufReader;
 use std::net::TcpStream;
 
 /// A campaign service behind a `goofi-server` daemon. Each request uses
 /// its own connection (`watch` holds one open for the event stream), so
-/// a `RemoteService` is cheap and carries no connection state.
+/// a `RemoteService` is cheap and carries no connection state. A watch
+/// stream reads its frames on the thread that iterates it; dropping the
+/// stream closes its connection.
 pub struct RemoteService {
     addr: String,
 }
@@ -103,27 +105,20 @@ impl CampaignService for RemoteService {
             from_start,
         };
         write_frame(&mut stream, &req.to_frame().map_err(transport)?).map_err(transport)?;
-        let frame = read_frame(&mut stream).map_err(transport)?;
+        let mut reader = BufReader::new(stream);
+        let frame = read_frame(&mut reader).map_err(transport)?;
         match Response::from_frame(&frame).map_err(transport)? {
             Response::Watching { .. } => {}
             other => return Err(rejected(other)),
         }
-        // Pump event frames into the stream on a reader thread; the
-        // stream ends at the terminal event, EndOfStream, or disconnect.
-        let (tx, rx) = unbounded();
-        std::thread::spawn(move || {
-            while let Ok(frame) = read_frame(&mut stream) {
-                match Event::from_frame(&frame) {
-                    Ok(Event::Service { event }) => {
-                        if tx.send(event).is_err() {
-                            break;
-                        }
-                    }
-                    _ => break,
-                }
-            }
-        });
-        Ok(EventStream::from_receiver(rx))
+        // The stream ends at the terminal event, EndOfStream, an
+        // undecodable frame or a disconnect.
+        Ok(EventStream::new(std::iter::from_fn(
+            move || match Event::from_frame(&read_frame(&mut reader).ok()?) {
+                Ok(Event::Service { event }) => Some(event),
+                _ => None,
+            },
+        )))
     }
 
     fn cancel(&mut self, job: &str) -> Result<bool> {

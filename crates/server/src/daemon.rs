@@ -245,7 +245,11 @@ mod tests {
     use super::*;
     use crossbeam::channel::{unbounded, Receiver, Sender};
     use goofi_core::service::{EventStream, JobId, JobSpec, JobStatus, ServiceEvent};
+    use goofi_core::{
+        Campaign, CampaignRef, FaultModel, LocalService, LocationSelector, Technique,
+    };
     use goofi_net::RemoteService;
+    use goofi_targets::standard_provider;
     use std::time::{Duration, Instant};
 
     /// A service whose only job streams what the test sends it, and which
@@ -337,6 +341,87 @@ mod tests {
             .unwrap();
         let got: Vec<ServiceEvent> = stream.collect();
         assert_eq!(got.len(), 2, "{got:?}");
+        assert!(within_10s(|| server.is_finished()), "serve() still blocked");
+        server.join().unwrap().unwrap();
+    }
+
+    /// A sort8 `cpu`-chain campaign of `experiments` faults.
+    fn campaign(name: &str, experiments: usize) -> Campaign {
+        Campaign::builder(name, "thor-card", "sort8")
+            .technique(Technique::Scifi)
+            .select(LocationSelector::Chain {
+                chain: "cpu".into(),
+                field: None,
+            })
+            .fault_model(FaultModel::BitFlip)
+            .window(0, 900)
+            .experiments(experiments)
+            .seed(2001)
+            .build()
+            .expect("valid campaign")
+    }
+
+    /// A fresh database path for this test process.
+    fn tmp_db(name: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("goofi-daemon-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let db = dir.join(name);
+        let _ = std::fs::remove_file(&db);
+        db
+    }
+
+    /// A daemon over an in-process [`LocalService`] on database `name`,
+    /// serving on its own thread: its address and the serving thread.
+    fn serve_local(name: &str) -> (String, std::thread::JoinHandle<Result<()>>) {
+        let service = LocalService::new(tmp_db(name), standard_provider());
+        let daemon = Daemon::bind("127.0.0.1:0", service).unwrap();
+        let addr = daemon.local_addr().unwrap().to_string();
+        (addr, std::thread::spawn(move || daemon.serve()))
+    }
+
+    #[test]
+    fn a_remote_watch_dropped_after_its_first_event_does_not_wedge_the_daemon() {
+        let (addr, server) = serve_local("dropped-watch.db");
+        let mut client = RemoteService::connect(&addr).unwrap();
+        let job = client
+            .submit(JobSpec::new(CampaignRef::Inline(campaign("dropped", 2000))))
+            .unwrap();
+        let mut stream = client.watch(&job, true).unwrap();
+        assert!(
+            matches!(stream.next(), Some(ServiceEvent::Queued { .. })),
+            "the watch starts with the job's first event"
+        );
+        drop(stream);
+        // The daemon still answers, and its shutdown waits only for the
+        // job, not for the abandoned watch.
+        assert!(client.status(&job).is_ok());
+        client.shutdown().unwrap();
+        assert!(within_10s(|| server.is_finished()), "serve() still blocked");
+        server.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_remote_watch_of_a_finished_job_yields_the_local_watch_events() {
+        let spec = JobSpec::new(CampaignRef::Inline(campaign("replayed", 40)));
+        let mut local = LocalService::new(tmp_db("replay-local.db"), standard_provider());
+        let job = local.submit(spec.clone()).unwrap();
+        local.join();
+        let local_events: Vec<ServiceEvent> = local.watch(&job, true).unwrap().collect();
+        assert!(matches!(
+            local_events.last(),
+            Some(ServiceEvent::Completed { .. })
+        ));
+
+        let (addr, server) = serve_local("replay-remote.db");
+        let mut client = RemoteService::connect(&addr).unwrap();
+        let job = client.submit(spec).unwrap();
+        assert!(
+            within_10s(|| client.status(&job).unwrap().is_terminal()),
+            "the job never finished"
+        );
+        let remote_events: Vec<ServiceEvent> = client.watch(&job, true).unwrap().collect();
+        assert_eq!(remote_events, local_events);
+        client.shutdown().unwrap();
         assert!(within_10s(|| server.is_finished()), "serve() still blocked");
         server.join().unwrap().unwrap();
     }

@@ -136,6 +136,18 @@ impl ThorTarget {
         Ok(())
     }
 
+    /// An iteration boundary (`sync`): exchanges environment data and
+    /// counts the iteration. `true` once a cyclic workload has run its
+    /// last iteration.
+    fn iteration_sync(&mut self) -> Result<bool> {
+        self.exchange_env()?;
+        self.iterations += 1;
+        Ok(matches!(
+            self.workload.kind,
+            WorkloadKind::Cyclic { max_iterations, .. } if self.iterations >= max_iterations
+        ))
+    }
+
     fn remaining_budget(&self) -> u64 {
         self.cycle_budget
             .saturating_sub(self.card.machine().cycles())
@@ -158,12 +170,8 @@ impl ThorTarget {
                 }
                 DebugEvent::Halted => return Ok(TargetEvent::Halted),
                 DebugEvent::IterationSync => {
-                    self.exchange_env()?;
-                    self.iterations += 1;
-                    if let WorkloadKind::Cyclic { max_iterations, .. } = self.workload.kind {
-                        if self.iterations >= max_iterations {
-                            return Ok(TargetEvent::IterationsDone);
-                        }
+                    if self.iteration_sync()? {
+                        return Ok(TargetEvent::IterationsDone);
                     }
                 }
                 DebugEvent::ErrorDetected(e) => {
@@ -385,16 +393,7 @@ impl TargetSystemInterface for ThorTarget {
         }
         match self.card.step() {
             Ok((_info, sync)) => {
-                if sync {
-                    self.exchange_env()?;
-                    self.iterations += 1;
-                    if let WorkloadKind::Cyclic { max_iterations, .. } = self.workload.kind {
-                        if self.iterations >= max_iterations {
-                            return Ok(Some(TargetEvent::IterationsDone));
-                        }
-                    }
-                }
-                Ok(None)
+                Ok((sync && self.iteration_sync()?).then_some(TargetEvent::IterationsDone))
             }
             Err(DebugEvent::Halted) => Ok(Some(TargetEvent::Halted)),
             Err(DebugEvent::ErrorDetected(e)) => Ok(Some(TargetEvent::Detected {
@@ -434,14 +433,8 @@ impl TargetSystemInterface for ThorTarget {
             match self.card.step() {
                 Ok((info, sync)) => {
                     trace.push(Self::trace_step(&info, time));
-                    if sync {
-                        self.exchange_env()?;
-                        self.iterations += 1;
-                        if let WorkloadKind::Cyclic { max_iterations, .. } = self.workload.kind {
-                            if self.iterations >= max_iterations {
-                                return Ok(trace);
-                            }
-                        }
+                    if sync && self.iteration_sync()? {
+                        return Ok(trace);
                     }
                 }
                 Err(DebugEvent::Halted) | Err(DebugEvent::TimedOut) => return Ok(trace),

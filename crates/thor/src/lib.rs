@@ -64,4 +64,4 @@ pub use machine::{CoreEvent, CoreState, Machine, MachineConfig, Step, PSW_C, PSW
 pub use memory::{Memory, MemoryMap};
 pub use scan::{BitVector, ChainField, Field, ScanChain};
 pub use testcard::{CardError, CardSnapshot, DebugEvent, TestCard};
-pub use trace::{Loc, StepInfo, Trace};
+pub use trace::{Loc, StepInfo};

@@ -14,7 +14,7 @@ use crate::cache::Cache;
 use crate::edm::Exception;
 use crate::machine::{CoreEvent, CoreState, Machine, MachineConfig};
 use crate::scan::{BitVector, ScanChain};
-use crate::trace::{StepInfo, Trace};
+use crate::trace::StepInfo;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -92,7 +92,6 @@ pub struct CardSnapshot {
     dcache: Cache,
     mem_base: Arc<Vec<u32>>,
     mem_delta: Vec<(u32, u32)>,
-    addr_breakpoints: BTreeSet<u32>,
     instret_breakpoints: BTreeSet<u64>,
     latched: Option<DebugEvent>,
 }
@@ -110,11 +109,8 @@ struct SnapBase {
 pub struct TestCard {
     machine: Machine,
     chains: Vec<ScanChain>,
-    addr_breakpoints: BTreeSet<u32>,
     instret_breakpoints: BTreeSet<u64>,
     latched: Option<DebugEvent>,
-    tracing: bool,
-    trace: Trace,
     snap_base: Option<SnapBase>,
 }
 
@@ -130,25 +126,19 @@ impl TestCard {
         TestCard {
             machine: Machine::new(config),
             chains,
-            addr_breakpoints: BTreeSet::new(),
             instret_breakpoints: BTreeSet::new(),
             latched: None,
-            tracing: false,
-            trace: Trace::new(),
             snap_base: None,
         }
     }
 
     /// Re-initialises the target: machine reset, breakpoints cleared,
-    /// latched events and traces dropped (the paper's per-experiment
+    /// latched events dropped (the paper's per-experiment
     /// "reinitialising the target system").
     pub fn init(&mut self) {
         self.machine.reset();
-        self.addr_breakpoints.clear();
         self.instret_breakpoints.clear();
         self.latched = None;
-        self.tracing = false;
-        self.trace = Trace::new();
         self.snap_base = None;
     }
 
@@ -264,38 +254,9 @@ impl TestCard {
         Ok(())
     }
 
-    /// Arms a one-shot breakpoint at a code address.
-    pub fn set_breakpoint_addr(&mut self, addr: u32) {
-        self.addr_breakpoints.insert(addr);
-    }
-
     /// Arms a one-shot breakpoint at an instruction count ("point in time").
     pub fn set_breakpoint_instret(&mut self, instret: u64) {
         self.instret_breakpoints.insert(instret);
-    }
-
-    /// Removes all breakpoints.
-    pub fn clear_breakpoints(&mut self) {
-        self.addr_breakpoints.clear();
-        self.instret_breakpoints.clear();
-    }
-
-    /// Enables or disables per-instruction tracing (detail mode).
-    pub fn set_tracing(&mut self, on: bool) {
-        self.tracing = on;
-        if !on {
-            self.trace = Trace::new();
-        }
-    }
-
-    /// The trace collected while tracing was enabled.
-    pub fn trace(&self) -> &Trace {
-        &self.trace
-    }
-
-    /// Takes ownership of the collected trace, leaving an empty one.
-    pub fn take_trace(&mut self) -> Trace {
-        std::mem::take(&mut self.trace)
     }
 
     /// Executes a single instruction, returning its trace record and
@@ -307,19 +268,14 @@ impl TestCard {
             return Err(ev.clone());
         }
         match self.machine.step() {
-            Ok(step) => {
-                if self.tracing {
-                    self.trace.steps.push(step.info.clone());
+            Ok(step) => match step.event {
+                Some(CoreEvent::Halted) => {
+                    self.latched = Some(DebugEvent::Halted);
+                    Err(DebugEvent::Halted)
                 }
-                match step.event {
-                    Some(CoreEvent::Halted) => {
-                        self.latched = Some(DebugEvent::Halted);
-                        Err(DebugEvent::Halted)
-                    }
-                    Some(CoreEvent::Sync) => Ok((step.info, true)),
-                    None => Ok((step.info, false)),
-                }
-            }
+                Some(CoreEvent::Sync) => Ok((step.info, true)),
+                None => Ok((step.info, false)),
+            },
             Err(e) => {
                 let ev = DebugEvent::ErrorDetected(e);
                 self.latched = Some(ev.clone());
@@ -329,8 +285,7 @@ impl TestCard {
     }
 
     /// Freezes the complete target state: core registers, memory, both
-    /// caches, armed breakpoints and any latched debug event. Traces are
-    /// not captured (detail mode re-runs from reset).
+    /// caches, armed breakpoints and any latched debug event.
     ///
     /// The first snapshot after an [`init`](TestCard::init) or
     /// [`download`](TestCard::download) copies the whole memory image;
@@ -359,15 +314,13 @@ impl TestCard {
             dcache: self.machine.dcache().clone(),
             mem_base: Arc::clone(&sb.base),
             mem_delta: sb.delta.iter().map(|(&i, &v)| (i, v)).collect(),
-            addr_breakpoints: self.addr_breakpoints.clone(),
             instret_breakpoints: self.instret_breakpoints.clone(),
             latched: self.latched.clone(),
         }
     }
 
-    /// Rewinds the target to a previously captured snapshot. Tracing is
-    /// switched off and any collected trace dropped; execution resumes
-    /// bit-identically to the run the snapshot was taken from.
+    /// Rewinds the target to a previously captured snapshot; execution
+    /// resumes bit-identically to the run the snapshot was taken from.
     pub fn restore(&mut self, snapshot: &CardSnapshot) {
         self.machine.set_core_state(&snapshot.core);
         // When the current contents already derive from the snapshot's
@@ -393,11 +346,8 @@ impl TestCard {
         // `clone_from` copies into the caches' existing line storage.
         self.machine.icache_mut().clone_from(&snapshot.icache);
         self.machine.dcache_mut().clone_from(&snapshot.dcache);
-        self.addr_breakpoints = snapshot.addr_breakpoints.clone();
         self.instret_breakpoints = snapshot.instret_breakpoints.clone();
         self.latched = snapshot.latched.clone();
-        self.tracing = false;
-        self.trace = Trace::new();
         // Share the snapshot's memory image as the new base so snapshots
         // taken after a restore stay cheap.
         let mut delta = BTreeMap::new();
@@ -423,9 +373,9 @@ impl TestCard {
             return ev.clone();
         }
         let deadline = self.machine.cycles().saturating_add(cycle_budget);
-        // Fast path: with tracing off and no address breakpoints armed,
-        // the only stopping points are the next instruction-count
-        // breakpoint and the deadline. The breakpoint is hoisted out of
+        // Fast path: with the predecoded interpreter, the only stopping
+        // points are the next breakpoint and the deadline. The
+        // breakpoint is hoisted out of
         // the loop (nothing inside inserts breakpoints, and `instret`
         // only counts up, so breakpoints already behind the machine can
         // never fire — exactly the general loop's semantics). Both are
@@ -435,7 +385,7 @@ impl TestCard {
         // costing at most `max_step` cycles, it leaves the deadline
         // unreached. Under one `max_step` of budget left, stretches are
         // single instructions.
-        if !self.tracing && self.addr_breakpoints.is_empty() && self.machine.predecode_enabled() {
+        if self.machine.predecode_enabled() {
             let next_bp = self
                 .instret_breakpoints
                 .range(self.machine.instret()..)
@@ -475,11 +425,11 @@ impl TestCard {
                 }
             }
         }
+        // The plain fetch/decode interpreter (predecode off), one
+        // instruction at a time.
         loop {
             // Breakpoints fire before the instruction executes.
-            if self.instret_breakpoints.remove(&self.machine.instret())
-                || self.addr_breakpoints.remove(&self.machine.pc())
-            {
+            if self.instret_breakpoints.remove(&self.machine.instret()) {
                 return DebugEvent::Breakpoint {
                     pc: self.machine.pc(),
                     instret: self.machine.instret(),
@@ -489,19 +439,14 @@ impl TestCard {
                 return DebugEvent::TimedOut;
             }
             match self.machine.step() {
-                Ok(step) => {
-                    if self.tracing {
-                        self.trace.steps.push(step.info.clone());
+                Ok(step) => match step.event {
+                    Some(CoreEvent::Halted) => {
+                        self.latched = Some(DebugEvent::Halted);
+                        return DebugEvent::Halted;
                     }
-                    match step.event {
-                        Some(CoreEvent::Halted) => {
-                            self.latched = Some(DebugEvent::Halted);
-                            return DebugEvent::Halted;
-                        }
-                        Some(CoreEvent::Sync) => return DebugEvent::IterationSync,
-                        None => {}
-                    }
-                }
+                    Some(CoreEvent::Sync) => return DebugEvent::IterationSync,
+                    None => {}
+                },
                 Err(e) => {
                     let ev = DebugEvent::ErrorDetected(e);
                     self.latched = Some(ev.clone());
@@ -560,16 +505,6 @@ mod tests {
     }
 
     #[test]
-    fn addr_breakpoint_fires_at_pc() {
-        let mut card = card_with(SUM_PROGRAM);
-        card.set_breakpoint_addr(8); // the `add` at byte 8
-        match card.run(1_000_000) {
-            DebugEvent::Breakpoint { pc, .. } => assert_eq!(pc, 8),
-            other => panic!("expected breakpoint, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn scan_injection_at_breakpoint_corrupts_result() {
         let mut card = card_with(SUM_PROGRAM);
         card.set_breakpoint_instret(2); // before first add
@@ -618,26 +553,13 @@ mod tests {
     }
 
     #[test]
-    fn detail_mode_traces_every_instruction() {
-        let mut card = card_with(SUM_PROGRAM);
-        card.set_tracing(true);
-        card.run(1_000_000);
-        let trace = card.take_trace();
-        // 2 setup + 5 iterations * 4 + la(2) + st + halt = 26
-        assert_eq!(trace.len(), 26);
-        assert_eq!(trace.steps[0].pc, 0);
-    }
-
-    #[test]
     fn init_resets_everything() {
         let mut card = card_with(SUM_PROGRAM);
         card.set_breakpoint_instret(3);
-        card.set_tracing(true);
         card.run(1_000_000);
         card.init();
         assert_eq!(card.machine().instret(), 0);
         assert_eq!(card.read_memory(0).unwrap(), 0, "memory cleared");
-        assert!(card.trace().is_empty());
         // No latched event; running empty memory decodes word 0 = NOP and
         // eventually runs off the code region.
         match card.run(1_000_000_000) {

@@ -66,35 +66,6 @@ impl StepInfo {
     }
 }
 
-/// A whole-run execution trace.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct Trace {
-    /// Steps in execution order.
-    pub steps: Vec<StepInfo>,
-}
-
-impl Trace {
-    /// Creates an empty trace.
-    pub fn new() -> Trace {
-        Trace::default()
-    }
-
-    /// Number of executed instructions.
-    pub fn len(&self) -> usize {
-        self.steps.len()
-    }
-
-    /// Whether the trace is empty.
-    pub fn is_empty(&self) -> bool {
-        self.steps.is_empty()
-    }
-
-    /// Total cycles across the trace.
-    pub fn total_cycles(&self) -> u64 {
-        self.steps.iter().map(|s| s.cycles).sum()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,17 +75,5 @@ mod tests {
         assert_eq!(Loc::Reg(3).to_string(), "r3");
         assert_eq!(Loc::Mem(0x100).to_string(), "mem[0x100]");
         assert_eq!(Loc::Psw.to_string(), "psw");
-    }
-
-    #[test]
-    fn trace_totals() {
-        let mut t = Trace::new();
-        assert!(t.is_empty());
-        let mut s = StepInfo::new(0, 0);
-        s.cycles = 3;
-        t.steps.push(s);
-        t.steps.push(StepInfo::new(4, 0));
-        assert_eq!(t.len(), 2);
-        assert_eq!(t.total_cycles(), 4);
     }
 }

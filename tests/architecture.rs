@@ -5,7 +5,7 @@
 
 use goofi_repro::core::{
     analyze_propagation, control_channel, reference_run, Campaign, CampaignRunner, FaultModel,
-    GoofiStore, LocationSelector, LogMode, ProgressEvent, TargetSystemInterface, Technique,
+    GoofiStore, LocationSelector, LogMode, ServiceEvent, TargetSystemInterface, Technique,
 };
 use goofi_repro::envsim::{DcMotorEnv, Environment, RecordingEnv, SCALE};
 use goofi_repro::targets::ThorTarget;
@@ -45,7 +45,7 @@ fn all_three_layers_cooperate_in_one_flow() {
     assert!(handle
         .drain()
         .iter()
-        .any(|e| matches!(e, ProgressEvent::Finished { .. })));
+        .any(|e| matches!(e, ServiceEvent::Finished { .. })));
 }
 
 #[test]

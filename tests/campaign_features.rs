@@ -4,7 +4,7 @@
 
 use goofi_repro::core::{
     control_channel, Campaign, CampaignRunner, Command, FaultModel, LocationSelector, LogMode,
-    ProgressEvent, Technique, Trigger, TriggerPolicy,
+    ServiceEvent, Technique, Trigger, TriggerPolicy,
 };
 use goofi_repro::targets::ThorTarget;
 use goofi_repro::workloads::{crc32_workload, fibonacci_workload, sort_workload};
@@ -248,7 +248,7 @@ fn pause_resume_stop_controls_a_live_campaign() {
     // Wait for a few experiments, then pause.
     let mut seen = 0;
     while seen < 5 {
-        if let Some(ProgressEvent::ExperimentDone { .. }) = handle.next() {
+        if let Some(ServiceEvent::Progress { .. }) = handle.next() {
             seen += 1;
         }
     }
@@ -256,7 +256,7 @@ fn pause_resume_stop_controls_a_live_campaign() {
     // Drain until Paused arrives.
     loop {
         match handle.next() {
-            Some(ProgressEvent::Paused) => break,
+            Some(ServiceEvent::Paused) => break,
             Some(_) => {}
             None => panic!("campaign died while pausing"),
         }
@@ -273,5 +273,5 @@ fn pause_resume_stop_controls_a_live_campaign() {
     let events = handle.drain();
     assert!(events
         .iter()
-        .any(|e| matches!(e, ProgressEvent::Finished { stopped: true, .. })));
+        .any(|e| matches!(e, ServiceEvent::Finished { stopped: true, .. })));
 }

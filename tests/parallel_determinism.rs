@@ -6,8 +6,8 @@
 
 use goofi_repro::core::{
     analyze_campaign, control_channel, Campaign, CampaignResult, CampaignRunner, CampaignStats,
-    Command, FaultModel, GoofiStore, JobSummary, LocationSelector, ProgressEvent, Pruning, Result,
-    RunOptions, StateVector, StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig,
+    Command, FaultModel, GoofiStore, JobSummary, LocationSelector, Pruning, Result, RunOptions,
+    ServiceEvent, StateVector, StaticAnalysis, TargetEvent, TargetSnapshot, TargetSystemConfig,
     TargetSystemInterface, Technique, TraceStep,
 };
 use goofi_repro::targets::ThorTarget;
@@ -278,14 +278,14 @@ fn stop_then_parallel_resume_recovers_full_campaign() {
         let mut done = 0;
         while let Some(event) = handle.next() {
             match event {
-                ProgressEvent::ExperimentDone { .. } => {
+                ServiceEvent::Progress { .. } => {
                     done += 1;
                     if done == 5 {
                         handle.send(Command::Stop);
                         hold.release();
                     }
                 }
-                ProgressEvent::Finished { .. } => break,
+                ServiceEvent::Finished { .. } => break,
                 _ => {}
             }
         }
@@ -389,14 +389,14 @@ fn stop_early(c: &Campaign, options: RunOptions, store: &mut GoofiStore) -> JobS
         let mut done = 0;
         while let Some(event) = handle.next() {
             match event {
-                ProgressEvent::ExperimentDone { .. } => {
+                ServiceEvent::Progress { .. } => {
                     done += 1;
                     if done == 5 {
                         handle.send(Command::Stop);
                         hold.release();
                     }
                 }
-                ProgressEvent::Finished { .. } => break,
+                ServiceEvent::Finished { .. } => break,
                 _ => {}
             }
         }
